@@ -145,19 +145,21 @@ def _cmd_oracle(args) -> None:
               "h": p.horizon / cfg.n_steps, "weak_error": we}, args)
 
 
-def _cmd_mc(args) -> None:
-    p = _resolve_problem(args)
-    levels = _parse_levels(args.levels)
+def _mc_report(args, p: Problem, levels: tuple):
+    """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``."""
     finest = args.finest_n
     if finest is None:
         finest = max(levels) if p.exact_terminal is not None else 8 * max(levels)
     mc = McConfig(n_paths=args.paths, seed=args.seed, finest_n=finest,
                   levels=levels, antithetic=args.antithetic)
-    report = estimate_weak_error(p, mc, args.scheme, fp_tol=args.fp_tol,
-                                 fp_max_iter=args.fp_max_iter,
-                                 solver=_SOLVER_ALIASES[args.solver]
-                                 if args.solver != "auto" else None)
-    _deliver(report, args)
+    solver = None if args.solver == "auto" else _SOLVER_ALIASES[args.solver]
+    return estimate_weak_error(p, mc, args.scheme, fp_tol=args.fp_tol,
+                               fp_max_iter=args.fp_max_iter, solver=solver)
+
+
+def _cmd_mc(args) -> None:
+    p = _resolve_problem(args)
+    _deliver(_mc_report(args, p, _parse_levels(args.levels)), args)
 
 
 def _cmd_psi(args) -> None:
@@ -173,8 +175,7 @@ def _cmd_psi(args) -> None:
         raise ValueError(f"--grid must look like 20x20, got {args.grid!r}") from None
     ts = np.linspace(0.0, p.horizon - 1e-3, nt)
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
-    rows = [[float(t), float(x), psi_at(p, kind, float(t), float(x))]
-            for t in ts for x in xs]
+    rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
     text_rows = [",".join(repr(float(v)) for v in row) for row in rows]
     payload = "t,x,psi\n" + "\n".join(text_rows) + "\n"
     if args.out:
@@ -211,13 +212,7 @@ def _cmd_richardson(args) -> None:
     if args.estimator == "oracle":
         report = oracle_report(p, args.scheme, levels)
     else:
-        finest = args.finest_n
-        if finest is None:
-            finest = max(levels) if p.exact_terminal is not None else 8 * max(levels)
-        mc = McConfig(n_paths=args.paths, seed=args.seed, finest_n=finest,
-                      levels=levels, antithetic=args.antithetic)
-        report = estimate_weak_error(p, mc, args.scheme, fp_tol=args.fp_tol,
-                                     fp_max_iter=args.fp_max_iter)
+        report = _mc_report(args, p, levels)
     _deliver(richardson(report), args)
 
 
@@ -232,6 +227,19 @@ def _add_common(sub, scheme: bool = True) -> None:
         sub.add_argument("--fp-tol", type=float, default=1e-12)
         sub.add_argument("--fp-max-iter", type=int, default=100)
         sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES), default="fp")
+
+
+def _add_mc(sub) -> None:
+    """Sampling flags of the subcommands that run :func:`_mc_report`.
+
+    Without ``--solver`` the implicit steps pick their own solver: closed
+    form for affine drifts, fixed point otherwise.
+    """
+    sub.add_argument("--paths", type=int, default=1_000_000)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--finest-n", type=int, default=None)
+    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
+    sub.set_defaults(solver="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,11 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("mc", help="Monte Carlo weak-error report on coupled levels")
     _add_common(sub)
     sub.add_argument("--levels", required=True, help="comma-separated grid sizes")
-    sub.add_argument("--paths", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--finest-n", type=int, default=None)
-    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
-    sub.set_defaults(func=_cmd_mc, solver="auto")
+    _add_mc(sub)
+    sub.set_defaults(func=_cmd_mc)
 
     sub = subs.add_parser("psi", help="density values on a (t, x) grid, as CSV")
     _add_common(sub, scheme=False)
@@ -286,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--levels", default="16,32,64,128,256,512")
     sub.add_argument("--estimator", choices=("oracle", "mc"), default="oracle")
-    sub.add_argument("--paths", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--finest-n", type=int, default=None)
-    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
+    _add_mc(sub)
     sub.set_defaults(func=_cmd_richardson)
 
     return parser

@@ -28,6 +28,13 @@ algebraic relations between the three densities ship alongside as residual
 checks, and the leading constant C1 = E int_0^T psi(t, X_t) dt is computed by
 Gauss-Legendre panels in time crossed with Gauss-Hermite in space under the
 exact marginal law.
+
+The densities accept jets whose slots are arrays (a batch of points, see
+:mod:`weakerr.jets`) and then return an array, so one call covers all
+Gauss-Hermite nodes of a time node.  Squares go through ``np.float_power``
+rather than ``**``: numpy computes an array ``v**2`` as ``v*v``, which rounds
+differently from the C library's ``pow`` that a float ``v**2`` calls, and
+the batch must reproduce the scalar values bit for bit.
 """
 
 from __future__ import annotations
@@ -39,11 +46,10 @@ import numpy as np
 
 from .jets import Jet4, jet_derive
 from .problems import Problem, marginal_law
-from .schemes import SingularSh
+from .schemes import resolvent
 
 PSI_NAMES = ("psi_i", "psi_e", "psi_ih")
 
-_SINGULAR_TOL = 1e-12
 _GH_POINTS = 64
 _GL_PER_PANEL = 8
 
@@ -96,13 +102,6 @@ def _require_orders(b: Jet4, sigma: Jet4, u: Jet4) -> None:
     sigma.deriv(2)
 
 
-def _resolvent(b: Jet4, h: float) -> float:
-    den = 1.0 - h * b.deriv(1)
-    if abs(den) < _SINGULAR_TOL:
-        raise SingularSh(f"1 - h b' within {_SINGULAR_TOL} of zero")
-    return 1.0 / den
-
-
 def _pieces(b: Jet4, sigma: Jet4, u: Jet4):
     """The composite derivatives shared by all three densities."""
     du = jet_derive(u)
@@ -117,8 +116,8 @@ def _pieces(b: Jet4, sigma: Jet4, u: Jet4):
     return du, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap
 
 
-def eval_psi(kind, b: Jet4, sigma: Jet4, u: Jet4, h: Optional[float] = None) -> float:
-    """Evaluate the selected density at one jet point.
+def eval_psi(kind, b: Jet4, sigma: Jet4, u: Jet4, h: Optional[float] = None):
+    """Evaluate the selected density at one jet point or a batch of them.
 
     ``kind`` is a :class:`PsiKind` or one of the names in ``PSI_NAMES``; for
     psi_ih the step size comes from the kind or the ``h`` argument.
@@ -143,32 +142,32 @@ def eval_psi(kind, b: Jet4, sigma: Jet4, u: Jet4, h: Optional[float] = None) -> 
     if kind.name == "psi_i":
         return (0.5 * bv * d_bdu.value()
                 + 0.25 * s2 * lap_bdu.value()
-                - 0.5 * bv**2 * lap
-                + 0.125 * s2**2 * d4u
+                - 0.5 * np.float_power(bv, 2) * lap
+                + 0.125 * np.float_power(s2, 2) * d4u
                 - 0.25 * bv * d_sig2lap.value()
                 - 0.125 * s2 * lap_sig2lap.value())
 
     if kind.name == "psi_e":
-        return (0.5 * bv**2 * lap
+        return (0.5 * np.float_power(bv, 2) * lap
                 + 0.5 * bv * s2 * d3u
-                + 0.125 * s2**2 * d4u
+                + 0.125 * np.float_power(s2, 2) * d4u
                 - 0.5 * bv * d_bdu.value()
                 - 0.25 * bv * d_sig2lap.value()
                 - 0.25 * s2 * lap_bdu.value()
                 - 0.125 * s2 * lap_sig2lap.value())
 
-    sh = _resolvent(b, kind.h)
+    sh = resolvent(b.deriv(1), kind.h)
     return (0.5 * bv * d_bdu.value()
-            - 0.5 * bv**2 * lap
-            + 0.25 * s2 * sh**2 * b.deriv(2) * u.deriv(1)
+            - 0.5 * np.float_power(bv, 2) * lap
+            + 0.25 * s2 * np.float_power(sh, 2) * b.deriv(2) * u.deriv(1)
             + 0.25 * bv * s2 * d3u
-            + 0.125 * s2**2 * d4u
+            + 0.125 * np.float_power(s2, 2) * d4u
             + 0.5 * b.deriv(1) * sh * s2 * lap
             - 0.25 * bv * d_sig2lap.value()
             - 0.125 * s2 * lap_sig2lap.value())
 
 
-def eval_psi_i_expanded(b: Jet4, sigma: Jet4, u: Jet4) -> float:
+def eval_psi_i_expanded(b: Jet4, sigma: Jet4, u: Jet4):
     """Independent implementation of the implicit density.
 
     All six terms are written out through explicit Leibniz formulas in
@@ -194,7 +193,7 @@ def eval_psi_i_expanded(b: Jet4, sigma: Jet4, u: Jet4) -> float:
             - 0.125 * v * lap_vlap)
 
 
-def psi_identity_residual(b: Jet4, sigma: Jet4, u: Jet4) -> float:
+def psi_identity_residual(b: Jet4, sigma: Jet4, u: Jet4):
     """Residual of the algebraic relation tying the two scheme densities:
 
         psi_i = psi_e - b^2 Du + 1/2 s^2 D(b du) + b d(b du) - 1/2 b s^2 d3u.
@@ -205,7 +204,7 @@ def psi_identity_residual(b: Jet4, sigma: Jet4, u: Jet4) -> float:
     s2 = sig2.value()
     lhs = eval_psi(PSI_I, b, sigma, u)
     rhs = (eval_psi(PSI_E, b, sigma, u)
-           - bv**2 * lap_u.value()
+           - np.float_power(bv, 2) * lap_u.value()
            + 0.5 * s2 * lap_bdu.value()
            + bv * d_bdu.value()
            - 0.5 * bv * s2 * u.deriv(3))
@@ -213,17 +212,17 @@ def psi_identity_residual(b: Jet4, sigma: Jet4, u: Jet4) -> float:
 
 
 def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
-    """(psi_ih - psi_i, closed form) at one jet point.
+    """(psi_ih - psi_i, closed form) at one jet point or a batch of them.
 
     The closed form is 1/4 s^2 (S_h^2 - 1) b'' du + 1/2 b' (S_h - 1) s^2 Du;
     since S_h - 1 = h b' / (1 - h b'), the gap is O(h).
     """
     gap = (eval_psi(psi_ih_kind(h), b, sigma, u)
            - eval_psi(PSI_I, b, sigma, u))
-    sh = _resolvent(b, h)
+    sh = resolvent(b.deriv(1), h)
     s2 = (sigma * sigma).value()
     lap = jet_derive(jet_derive(u)).value()
-    closed = (0.25 * s2 * (sh**2 - 1.0) * b.deriv(2) * u.deriv(1)
+    closed = (0.25 * s2 * (np.float_power(sh, 2) - 1.0) * b.deriv(2) * u.deriv(1)
               + 0.5 * b.deriv(1) * (sh - 1.0) * s2 * lap)
     return gap, closed
 
@@ -232,8 +231,11 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
 # integration against the exact law of X_t
 # ---------------------------------------------------------------------------
 
-def psi_at(p: Problem, kind, t: float, x: float) -> float:
-    """The selected density at (t, x) using the problem's coefficient jets."""
+def psi_at(p: Problem, kind, t: float, x):
+    """The selected density at (t, x) using the problem's coefficient jets.
+
+    ``x`` may be an array of points; the result is then the array of values.
+    """
     if p.u_jet is None:
         raise ValueError(f"problem {p.name!r} has no closed-form u")
     return eval_psi(kind, p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
@@ -243,13 +245,15 @@ def expect_psi(p: Problem, kind, t: float) -> float:
     """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite."""
     law = marginal_law(p, t)
     if law.family == "dirac" or law.variance == 0.0:
-        return psi_at(p, kind, t, law.mean)
+        return float(psi_at(p, kind, t, law.mean))
     sd = np.sqrt(law.variance)
     if law.family == "gaussian":
         xs = law.mean + sd * _GH_Z
     else:
         xs = np.exp(law.mean + sd * _GH_Z)
-    return float(sum(w * psi_at(p, kind, t, x) for w, x in zip(_GH_W, xs)))
+    # The builtin sum adds the weighted nodes left to right, as a loop over
+    # scalar nodes would; np.sum adds pairwise and would change the bits.
+    return float(sum(_GH_W * psi_at(p, kind, t, xs)))
 
 
 def _time_integral(p: Problem, kind, panels: int) -> float:

@@ -7,6 +7,12 @@ functions exactly (through the truncation order), so quantities assembled from
 b, sigma, u and their derivatives can be evaluated as plain algebra on
 derivative tables instead of by symbolic differentiation.
 
+A slot holds a float or a numpy array.  A jet whose slots are arrays of one
+shape is a batch of jets, one per point of an array of points; every
+operation below acts elementwise, so it gives bit for bit the results of the
+scalar jets at each point.  Scalar and array slots mix by broadcasting (a
+constant diffusion jet times a batch of payoff jets, say).
+
 Each jet carries a ``valid_order``: the highest derivative slot that is
 trustworthy.  Differentiating shifts entries left and lowers ``valid_order``
 by one; binary operations propagate the minimum.  Reading a slot beyond
@@ -33,8 +39,9 @@ class InsufficientJetOrder(Exception):
 class Jet4:
     """Function germ at a point: ``d[k]`` is the k-th spatial derivative.
 
-    ``d[0]`` is the value, ``d[2]`` the Laplacian slot.  Entries above
-    ``valid_order`` are zero-filled placeholders and must not be read.
+    ``d[0]`` is the value, ``d[2]`` the Laplacian slot.  Each entry is a
+    float or an array of the batch's shape.  Entries above ``valid_order``
+    are zero-filled placeholders and must not be read.
     """
 
     d: tuple
@@ -65,10 +72,10 @@ class Jet4:
         vals += [0.0] * (JET_ORDER + 1 - len(vals))
         return Jet4(_masked(tuple(vals), valid_order), valid_order)
 
-    def value(self) -> float:
+    def value(self):
         return self.d[0]
 
-    def deriv(self, k: int) -> float:
+    def deriv(self, k: int):
         """k-th derivative entry; raises beyond the trustworthy order."""
         if not 0 <= k <= JET_ORDER:
             raise ValueError(f"derivative order must be in 0..{JET_ORDER}, got {k}")

@@ -83,6 +83,9 @@ class Problem:
     ``b_jet``/``sigma_jet`` provide at least two trustworthy derivatives;
     ``u_jet``, when present, provides four and satisfies the backward PDE.
     ``b``, ``b_prime``, ``sigma`` and ``f`` accept scalars or numpy arrays.
+    The jets of the affine families accept an array of points too and then
+    return a batch of jets (see :mod:`weakerr.jets`); the tanh jets are
+    scalar only.
     """
 
     name: str
@@ -106,18 +109,24 @@ class Problem:
 # polynomial helpers
 # ---------------------------------------------------------------------------
 
-def _poly_derivs(coeffs, x: float) -> tuple:
-    """Value and first four derivatives of sum c_j x^j at x."""
+def _poly_derivs(coeffs, x) -> tuple:
+    """Value and first four derivatives of sum c_j x^j at x (float or array).
+
+    Powers go through ``np.float_power``, which calls the C library's ``pow``
+    for floats and arrays alike; numpy's array ``**`` takes other routes
+    (``x*x`` for squares, vector kernels for cubes) that can round the last
+    bit differently, so an array x would no longer match scalar calls.
+    """
     out = []
     for k in range(5):
         acc = 0.0
         for j in range(k, len(coeffs)):
-            acc += coeffs[j] * math.perm(j, k) * x ** (j - k)
-        out.append(float(acc))
+            acc += coeffs[j] * math.perm(j, k) * np.float_power(x, j - k)
+        out.append(acc)
     return tuple(out)
 
 
-def _poly_jet(coeffs, x: float) -> Jet4:
+def _poly_jet(coeffs, x) -> Jet4:
     return Jet4(_poly_derivs(coeffs, x))
 
 

@@ -107,12 +107,17 @@ def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
     return h
 
 
+def resolvent(b_prime, h: float):
+    """1 / (1 - h b') from values of b' (a float or an array)."""
+    den = 1.0 - h * b_prime
+    if np.min(np.abs(den)) < _SINGULAR_TOL:
+        raise SingularSh(f"1 - h b' within {_SINGULAR_TOL} of zero")
+    return 1.0 / den
+
+
 def s_h(p: Problem, h: float, x):
     """The resolvent map S_h(x) = 1 / (1 - h b'(x))."""
-    den = 1.0 - h * p.b_prime(x)
-    if np.min(np.abs(den)) < _SINGULAR_TOL:
-        raise SingularSh(f"1 - h b'(x) within {_SINGULAR_TOL} of zero")
-    return 1.0 / den
+    return resolvent(p.b_prime(x), h)
 
 
 def explicit_step(p: Problem, h: float, x, dw):
@@ -133,16 +138,10 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     xi = x + p.sigma(x) * dw
 
     if cfg.solver == "closed_form_affine":
-        if p.affine is not None:
-            b0, b1 = 0.0, p.affine.b1
-        else:
-            probe = float(np.asarray(x, dtype=float).flat[0])
-            jb = p.b_jet(probe)
-            if jb.deriv(2) != 0.0:
-                raise InvalidSolver("closed_form_affine requires an affine drift (b'' = 0)")
-            b1 = jb.deriv(1)
-            b0 = jb.value() - b1 * probe
-        return (xi + h * b0) / (1.0 - h * b1), 0
+        if p.affine is None:
+            raise InvalidSolver(f"closed_form_affine needs an affine drift; "
+                                f"problem {p.name!r} has none")
+        return xi / (1.0 - h * p.affine.b1), 0
 
     if cfg.solver == "newton":
         y = xi if start is None else start

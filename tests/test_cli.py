@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -51,6 +52,25 @@ class TestC1AndPsi:
         assert lines[0] == "t,x,psi"
         assert len(lines) == 1 + 4 * 5
 
+    # SHA-256 of the CSV as printed when psi_at took one scalar x per row.
+    PSI_GRID_SHA256 = {
+        ("ou", "psi_i"): "155be42b8864aa314700f090f527c8d187673c4132a771e148b282581099681d",
+        ("gbm", "psi_i"): "db28f634d94849a4bba0e7aefb76f338fa44229e1c2e0b923966a1781d79d5f2",
+        ("ou", "psi_e"): "8ae085fd67ae081e272856e3620429d7e620494f909b1d76797c5735af4dc002",
+        ("gbm", "psi_e"): "f60d72aa09b6ace4c76e9a3671ec12967edccc4c4d47b5de7f8241549c6e1cb3",
+        ("ou", "psi_ih"): "e2fa330394c0ccd6e7689bf3d4a41f10e860cf95ac5e8c57f4f5fde25a3c3583",
+        ("gbm", "psi_ih"): "8a2d673f62a52847e0122e8f06b67d8d973c844be5dbeb07ab6ac03750dd279c",
+    }
+
+    @pytest.mark.parametrize("problem,kind", sorted(PSI_GRID_SHA256))
+    def test_psi_grid_bytes_pinned(self, capsys, problem, kind):
+        h = ("--h", "0.01") if kind == "psi_ih" else ()
+        code, out, _ = run_cli(capsys, "psi", "--problem", problem, "--kind", kind,
+                               *h, "--grid", "5x7")
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.PSI_GRID_SHA256[problem, kind]
+
     def test_psi_ih_needs_h(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--problem", "ou", "--kind", "psi_ih")
         assert code == EXIT_CONFIG
@@ -100,6 +120,20 @@ class TestConvergeExpandRichardson:
         payload = json.loads(out)
         assert len(payload["points"]) == 1
         assert payload["points"][0]["stderr"] > 0.0
+
+    def test_richardson_mc_honours_solver(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("solver"))
+            return we.estimate_weak_error(*args, **kwargs)
+
+        monkeypatch.setattr("weakerr.cli.estimate_weak_error", spy)
+        argv = ("richardson", "--problem", "ou", "--levels", "8,16",
+                "--estimator", "mc", "--paths", "2000", "--seed", "3")
+        assert run_cli(capsys, *argv, "--solver", "newton")[0] == EXIT_OK
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert seen == ["newton", None]
 
     def test_bad_levels_string(self, capsys):
         code, _, err = run_cli(capsys, "converge", "--problem", "ou",

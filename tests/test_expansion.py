@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakerr as we
-from weakerr.expansion import (PSI_E, PSI_I, PsiKind, eval_psi, eval_psi_i_expanded,
+from weakerr.expansion import (_GH_Z, PSI_E, PSI_I, PsiKind, eval_psi, eval_psi_i_expanded,
                                expect_psi, leading_constant, psi_at,
                                psi_identity_residual, psi_ih_gap, psi_ih_kind,
                                riemann_psi_sum)
@@ -289,3 +289,62 @@ class TestRiemannSum:
         p = problems["ou"]
         assert expect_psi(p, PSI_I, 0.0) == pytest.approx(psi_at(p, PSI_I, 0.0, p.x0),
                                                           rel=1e-14)
+
+
+def _gh_nodes(p, t):
+    """The Gauss-Hermite nodes expect_psi places under the law of X_t."""
+    law = we.marginal_law(p, t)
+    xs = law.mean + np.sqrt(law.variance) * _GH_Z
+    return np.exp(xs) if law.family == "lognormal" else xs
+
+
+class TestArrayPath:
+    """One psi_at call over all Gauss-Hermite nodes equals the scalar calls."""
+
+    # leading_constant(p, PSI_I, quad_nodes=64) when it evaluated one scalar
+    # jet per node: (value, abs_err_est) as float hex.
+    PINNED_C1 = {
+        "ou": ("-0x1.3020005305ea9p-3", "0x1.8000000000000p-54"),
+        "gbm": ("0x1.004e8861b256dp-9", "0x1.b800000000000p-56"),
+    }
+    KINDS = [PSI_I, PSI_E, psi_ih_kind(0.03)]
+    # Quartic payoffs put cubes and squares of x into every density term,
+    # where numpy's array ``**`` and the C library's pow round differently.
+    QUARTIC = {
+        "ou4": we.ou_family_problem("ou4", theta=0.7, sigma=0.6,
+                                    f_poly=(0.3, -0.2, 0.5, 0.1, 0.05), x0=0.8,
+                                    horizon=1.0),
+        "gbm4": we.gbm_family_problem("gbm4", mu=0.1, s=0.3,
+                                      f_poly=(0.3, -0.2, 0.5, 0.1, 0.05), x0=1.2,
+                                      horizon=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_C1))
+    def test_leading_constant_bits_pinned(self, problems, name):
+        lc = leading_constant(problems[name], PSI_I, quad_nodes=64)
+        value, err = self.PINNED_C1[name]
+        assert lc.value == float.fromhex(value)
+        assert lc.abs_err_est == float.fromhex(err)
+
+    @pytest.mark.parametrize("name", ["bm", "ou", "gbm", "ou4", "gbm4"])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_node_batch_equals_scalar_calls(self, problems, name, kind):
+        p = self.QUARTIC.get(name) or problems[name]
+        for t in (0.05, 0.5, 0.99):
+            xs = _gh_nodes(p, t)
+            batch = psi_at(p, kind, t, xs)
+            assert batch.shape == xs.shape
+            for x, v in zip(xs, batch):
+                assert v == psi_at(p, kind, t, float(x))
+
+    @pytest.mark.parametrize("name", ["ou4", "gbm4"])
+    def test_gap_and_residual_on_a_batch(self, name):
+        p = self.QUARTIC[name]
+        t, h = 0.4, 0.03
+        xs = _gh_nodes(p, t)
+        gap, closed = psi_ih_gap(p.b_jet(xs), p.sigma_jet(xs), p.u_jet(t, xs), h)
+        res = psi_identity_residual(p.b_jet(xs), p.sigma_jet(xs), p.u_jet(t, xs))
+        for i, x in enumerate(map(float, xs)):
+            jets = (p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
+            assert (gap[i], closed[i]) == psi_ih_gap(*jets, h)
+            assert res[i] == psi_identity_residual(*jets)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,3 +164,55 @@ class TestPolynomialIdentities:
         assert (a * b).d == jet_mul(a, b).d
         assert (a - b).d == jet_add(a, -1.0 * b).d
         assert (2.0 * a).d == tuple(2.0 * v for v in a.d)
+
+
+def _batch(jets):
+    """One jet whose slots are arrays, element i taken from jets[i]."""
+    return Jet4(tuple(np.array([j.d[k] for j in jets]) for k in range(5)),
+                min(j.valid_order for j in jets))
+
+
+def _element(jet, i, n):
+    """Element i of a batch of n jets, as a scalar-slot tuple."""
+    return tuple(float(np.broadcast_to(v, (n,))[i]) for v in jet.d)
+
+
+jet_lists = st.lists(st.tuples(full_jets, full_jets), min_size=1, max_size=6)
+
+
+class TestArraySlots:
+    """A jet with array slots is the batch of its per-element scalar jets, bit
+    for bit, under every rule."""
+
+    @given(jet_lists)
+    def test_add_and_product_rules(self, pairs):
+        a, b = _batch([p[0] for p in pairs]), _batch([p[1] for p in pairs])
+        for op in (jet_add, jet_mul):
+            out = op(a, b)
+            for i, (x, y) in enumerate(pairs):
+                assert _element(out, i, len(pairs)) == op(x, y).d
+
+    @given(jet_lists)
+    def test_shift_rule(self, pairs):
+        a = _batch([p[0] for p in pairs])
+        twice = jet_derive(jet_derive(a))
+        assert twice.valid_order == 2
+        for i, (x, _) in enumerate(pairs):
+            assert _element(twice, i, len(pairs)) == jet_derive(jet_derive(x)).d
+
+    @given(jet_lists, entries)
+    def test_scalar_slots_broadcast(self, pairs, c):
+        # a scalar jet (constant diffusion, say) times a batch
+        a = _batch([p[0] for p in pairs])
+        out = jet_mul(Jet4.constant(c), a)
+        for i, (x, _) in enumerate(pairs):
+            assert _element(out, i, len(pairs)) == jet_mul(Jet4.constant(c), x).d
+
+    def test_masking_keeps_placeholders_zero(self):
+        a = Jet4((np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.0, 0.0, 0.0),
+                 valid_order=1)
+        b = _batch([jet_x3(0.5), jet_x3(-1.5)])
+        out = jet_mul(a, b)
+        assert out.valid_order == 1
+        assert out.d[2:] == (0.0, 0.0, 0.0)
+        assert np.array_equal(out.deriv(1), [3.0 * 0.125 + 0.75, 4.0 * -3.375 + 2.0 * 6.75])

@@ -115,6 +115,14 @@ class TestImplicitStep:
         with pytest.raises(we.InvalidSolver):
             we.implicit_step(problems["tanh"], cfg, 0.1, 0.5, 0.0)
 
+    def test_closed_form_rejects_nonaffine_at_inflection(self):
+        # b'' vanishes at x = 0, so probing the drift there would let tanh
+        # pass as affine and linearise every step taken from the origin.
+        p = we.tanh_problem(x0=0.0)
+        cfg = SchemeConfig(n_steps=4, solver="closed_form_affine")
+        with pytest.raises(we.InvalidSolver):
+            we.run_paths(p, cfg, np.zeros((3, 4)))
+
     def test_step_size_guard(self, problems):
         with pytest.raises(we.StepSizeError):
             we.implicit_step(problems["ou"], SchemeConfig(n_steps=1), 1.0, 1.0, 0.0)
