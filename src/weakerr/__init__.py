@@ -27,15 +27,12 @@ from .problems import (
 from .schemes import (
     InvalidSolver,
     NoConvergence,
-    PathState,
     SchemeConfig,
     SingularSh,
     StepSizeError,
     explicit_step,
     implicit_step,
-    iterate_path,
     pathwise_derivative_check,
-    run_path,
     run_paths,
     s_h,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "MomentVector",
     "NoConvergence",
     "PSI_E",
-    "PathState",
     "PSI_I",
     "Problem",
     "PsiKind",
@@ -101,7 +97,6 @@ __all__ = [
     "gbm_family_problem",
     "get_problem",
     "implicit_step",
-    "iterate_path",
     "jet_add",
     "jet_derive",
     "jet_mul",
@@ -117,7 +112,6 @@ __all__ = [
     "psi_ih_kind",
     "richardson",
     "riemann_psi_sum",
-    "run_path",
     "run_paths",
     "s_h",
     "sample_increments",

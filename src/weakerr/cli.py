@@ -13,7 +13,6 @@ included.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -24,8 +23,8 @@ from .montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
 from .moments_oracle import weak_error_exact
 from .problems import Problem, gbm_family_problem, get_problem, ou_family_problem
 from .rates import TooFewPoints, expansion_check, fit_rate
-from .reports import emit_report
-from .schemes import NoConvergence, SchemeConfig, SingularSh
+from .reports import FORMATS, render
+from .schemes import NoConvergence, SchemeConfig
 from . import __version__
 
 EXIT_OK = 0
@@ -120,21 +119,22 @@ def _scheme_config(args, n_steps: int) -> SchemeConfig:
                         solver=_SOLVER_ALIASES[args.solver])
 
 
-def _deliver(report, args, default_format: str = "json") -> None:
-    fmt = args.format or default_format
-    if args.out:
-        emit_report(report, fmt, args.out)
-    elif fmt == "json":
-        from .reports import _json_payload
-        print(json.dumps(_json_payload(report), indent=2))
-    elif fmt == "csv":
-        from .reports import _csv_table
-        header, rows = _csv_table(report)
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+def _write(text: str, path) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        raise ValueError("svg output needs --out")
+        sys.stdout.write(text)
+
+
+def _deliver(report, args) -> None:
+    fmt = args.format or "json"
+    try:
+        text = render(report, fmt)
+    except ValueError:
+        raise ValueError(f"the {args.command} report has no {fmt} form") from None
+    _write(text, args.out)
 
 
 def _cmd_oracle(args) -> None:
@@ -177,12 +177,7 @@ def _cmd_psi(args) -> None:
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
     rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
     text_rows = [",".join(repr(float(v)) for v in row) for row in rows]
-    payload = "t,x,psi\n" + "\n".join(text_rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        print(payload, end="")
+    _write("t,x,psi\n" + "\n".join(text_rows) + "\n", args.out)
 
 
 def _cmd_c1(args) -> None:
@@ -220,7 +215,7 @@ def _add_common(sub, scheme: bool = True) -> None:
     sub.add_argument("--problem", default="ou", help="builtin problem name (bm, ou, gbm, tanh)")
     sub.add_argument("--config", help="custom problem definition file (overrides --problem)")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv", "svg"),
+    sub.add_argument("--format", choices=FORMATS,
                      help="output format (default json; psi emits csv)")
     if scheme:
         sub.add_argument("--scheme", choices=("explicit", "implicit"), default="implicit")
@@ -301,7 +296,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (NoConvergence, SingularSh) as err:
+    except (NoConvergence, ArithmeticError) as err:
         print(f"weakerr: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TooFewPoints, InsufficientJetOrder) as err:

@@ -63,15 +63,6 @@ class Jet4:
         """Jet of the identity function at the point x."""
         return Jet4((float(x), 1.0, 0.0, 0.0, 0.0))
 
-    @staticmethod
-    def from_derivs(derivs, valid_order: int = JET_ORDER) -> "Jet4":
-        """Build a jet from an iterable of derivatives (padded/zeroed as needed)."""
-        vals = [float(v) for v in derivs]
-        if len(vals) > JET_ORDER + 1:
-            raise ValueError("too many derivative entries for a Jet4")
-        vals += [0.0] * (JET_ORDER + 1 - len(vals))
-        return Jet4(_masked(tuple(vals), valid_order), valid_order)
-
     def value(self):
         return self.d[0]
 

@@ -2,7 +2,7 @@
 
 For the affine benchmarks both scheme kinds reduce to a step of the form
 
-    X_{k+1} = alpha X_k + beta X_k dW + gamma dW + delta,
+    X_{k+1} = alpha X_k + beta X_k dW + gamma dW,
 
 with dW ~ N(0, h) independent of X_k.  Raising the step to the j-th power and
 taking expectations turns a moment vector E X_k^j, j = 0..J, into the next one
@@ -36,7 +36,7 @@ class MomentVector:
 
 
 def step_coefficients(p: Problem, cfg: SchemeConfig, h: float) -> tuple:
-    """(alpha, beta, gamma, delta) of the affine step for this problem/scheme.
+    """(alpha, beta, gamma) of the affine step for this problem/scheme.
 
     Explicit: X + b1 X h + (s0 + s1 X) dW.  Implicit: the drift moves to the
     next state, dividing everything by 1 - b1 h.
@@ -45,9 +45,9 @@ def step_coefficients(p: Problem, cfg: SchemeConfig, h: float) -> tuple:
         raise ValueError(f"problem {p.name!r} has no affine step; moment oracle unavailable")
     a = p.affine
     if cfg.kind == "explicit":
-        return 1.0 + a.b1 * h, a.s1, a.s0, 0.0
+        return 1.0 + a.b1 * h, a.s1, a.s0
     den = 1.0 - a.b1 * h
-    return 1.0 / den, a.s1 / den, a.s0 / den, 0.0
+    return 1.0 / den, a.s1 / den, a.s0 / den
 
 
 def _dw_moments(h: float, kmax: int) -> list:
@@ -58,11 +58,11 @@ def _dw_moments(h: float, kmax: int) -> list:
     return out[: kmax + 1]
 
 
-def _transfer_matrix(alpha, beta, gamma, delta, h, order):
+def _transfer_matrix(alpha, beta, gamma, h, order):
     """T[j][m] so that E X_{k+1}^j = sum_m T[j][m] E X_k^m.
 
-    Writing X_{k+1} = (alpha + beta dW) X + (gamma dW + delta) and expanding
-    both binomials, the dW powers integrate via the Gaussian moment table.
+    Writing X_{k+1} = (alpha + beta dW) X + gamma dW and expanding both
+    binomials, the dW powers integrate via the Gaussian moment table.
     """
     ew = _dw_moments(h, order)
     T = [[0.0] * (order + 1) for _ in range(order + 1)]
@@ -71,12 +71,9 @@ def _transfer_matrix(alpha, beta, gamma, delta, h, order):
             n = j - m
             acc = 0.0
             for pw in range(m + 1):
-                for q in range(n + 1):
-                    coef = (math.comb(m, pw) * math.comb(n, q)
-                            * alpha ** (m - pw) * beta**pw
-                            * gamma**q * delta ** (n - q))
-                    if coef != 0.0:
-                        acc += coef * ew[pw + q]
+                coef = math.comb(m, pw) * alpha ** (m - pw) * beta**pw * gamma**n
+                if coef != 0.0:
+                    acc += coef * ew[pw + n]
             T[j][m] = math.comb(j, m) * acc
     return T
 

@@ -27,7 +27,7 @@ from .moments_oracle import weak_error_exact
 from .problems import Problem
 from .schemes import NoConvergence, SchemeConfig, run_paths
 
-SOURCES = ("mc", "oracle", "psi_prediction")
+SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14

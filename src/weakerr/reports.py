@@ -9,6 +9,7 @@ outputs byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict
@@ -65,7 +66,7 @@ def _csv_table(report):
         header = ["h", "extrapolated_error", "stderr"]
         rows = [[r.h, r.extrapolated_error, r.stderr] for r in report]
     else:
-        raise TypeError(f"cannot tabulate report of type {type(report).__name__}")
+        raise ValueError(f"a {type(report).__name__} report has no csv form")
     return header, rows
 
 
@@ -85,7 +86,7 @@ def _svg_series(report):
     if isinstance(report, list) and all(isinstance(r, RichardsonPoint) for r in report):
         pts = [(r.h, abs(r.extrapolated_error)) for r in report]
         return "richardson", [("extrapolated error", pts)], None
-    raise TypeError(f"cannot plot report of type {type(report).__name__}")
+    raise ValueError(f"a {type(report).__name__} report has no svg form")
 
 
 def _render_svg(title, series, fit) -> str:
@@ -162,25 +163,40 @@ def _render_svg(title, series, fit) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report, format: str, path) -> None:
-    """Write a report to ``path`` as json, csv or svg.
+def render(report, format: str) -> str:
+    """The text of ``report`` as json, csv or svg.
 
-    IO failures propagate as OSError with the offending path attached.
+    Raises TypeError for an object that is not a report, ValueError for a
+    format its report type lacks, and FloatingPointError when any value of
+    the report is NaN or infinite: such a report is refused in every format.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    payload = _json_payload(report)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError(
+            f"{type(report).__name__} holds a non-finite value") from None
     if format == "json":
-        text = json.dumps(_json_payload(report), indent=2) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    elif format == "csv":
+        return text
+    if format == "csv":
         header, rows = _csv_table(report)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    else:
-        title, series, fit = _svg_series(report)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_render_svg(title, series, fit))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        return buf.getvalue()
+    return _render_svg(*_svg_series(report))
+
+
+def emit_report(report, format: str, path) -> None:
+    """Write :func:`render`'s text of a report to ``path``.
+
+    Nothing is written when rendering fails.  IO failures propagate as
+    OSError with the offending path attached.
+    """
+    text = render(report, format)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

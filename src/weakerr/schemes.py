@@ -54,21 +54,6 @@ class SingularSh(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class PathState:
-    """Scheme state after k steps: grid index, value, increments consumed."""
-
-    k: int
-    x: float
-    rng_draws: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("grid index must be nonnegative")
-        if self.rng_draws < 0:
-            raise ValueError("rng_draws must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     """Grid size and scheme kind, plus implicit-solver settings."""
 
@@ -107,12 +92,17 @@ def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
     return h
 
 
-def resolvent(b_prime, h: float):
-    """1 / (1 - h b') from values of b' (a float or an array)."""
+def _resolvent_den(b_prime, h: float):
+    """1 - h b' from values of b'; raises SingularSh where it is near zero."""
     den = 1.0 - h * b_prime
     if np.min(np.abs(den)) < _SINGULAR_TOL:
         raise SingularSh(f"1 - h b' within {_SINGULAR_TOL} of zero")
-    return 1.0 / den
+    return den
+
+
+def resolvent(b_prime, h: float):
+    """1 / (1 - h b') from values of b' (a float or an array)."""
+    return 1.0 / _resolvent_den(b_prime, h)
 
 
 def s_h(p: Problem, h: float, x):
@@ -149,10 +139,7 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
             res = y - h * p.b(y) - xi
             if np.max(np.abs(res)) <= cfg.fp_tol:
                 return y, it
-            den = 1.0 - h * p.b_prime(y)
-            if np.min(np.abs(den)) < _SINGULAR_TOL:
-                raise SingularSh("Newton derivative 1 - h b'(y) is numerically zero")
-            y = y - res / den
+            y = y - res / _resolvent_den(p.b_prime(y), h)
         raise NoConvergence(
             f"newton solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
             path_index=_worst_index(res))
@@ -178,32 +165,6 @@ def _step(p: Problem, cfg: SchemeConfig, h: float, x, dw):
         return explicit_step(p, h, x, dw)
     x_next, _ = implicit_step(p, cfg, h, x, dw)
     return x_next
-
-
-def iterate_path(p: Problem, cfg: SchemeConfig, increments):
-    """Yield the :class:`PathState` at every grid point of one path.
-
-    Starts at (k=0, x0, 0 draws); ``increments[k]`` is the Brownian increment
-    consumed by step k.  The sequence is a deterministic function of
-    (problem, config, increments).
-    """
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 1 or increments.shape[0] != cfg.n_steps:
-        raise ValueError(f"expected {cfg.n_steps} increments, got shape {increments.shape}")
-    h = check_step_size(p, cfg)
-    x = p.x0
-    yield PathState(k=0, x=x, rng_draws=0)
-    for k in range(cfg.n_steps):
-        try:
-            x = _step(p, cfg, h, x, increments[k])
-        except NoConvergence as err:
-            raise NoConvergence(f"step {k}: {err}", step_index=k) from err
-        yield PathState(k=k + 1, x=float(x), rng_draws=k + 1)
-
-
-def run_path(p: Problem, cfg: SchemeConfig, increments) -> np.ndarray:
-    """Run one path from x0; returns the N+1 grid values."""
-    return np.array([state.x for state in iterate_path(p, cfg, increments)])
 
 
 def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False):

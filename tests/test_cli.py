@@ -179,6 +179,80 @@ class TestMc:
         assert code == EXIT_IO
 
 
+class TestOutput:
+    COMMANDS = {
+        "mc": ("mc", "--problem", "ou", "--levels", "8,16", "--paths", "2000",
+               "--seed", "7"),
+        "expand": ("expand", "--problem", "ou", "--levels", "16,32,64",
+                   "--quad-nodes", "8"),
+        "converge": ("converge", "--problem", "gbm", "--levels", "16,32,64"),
+        "richardson": ("richardson", "--problem", "ou", "--levels", "16,32,64"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stdout_matches_out_file(self, capsys, tmp_path, command, fmt):
+        argv = (*self.COMMANDS[command], "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        path = tmp_path / f"report.{fmt}"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+        assert out.encode() == path.read_bytes()
+
+    def test_mc_json_bytes_pinned(self, capsys):
+        # SHA-256 of the report as printed before reports.render existed.
+        code, out, _ = run_cli(capsys, *self.COMMANDS["mc"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a1243ac3045b8d639a7c3db62e0fa0bff34716edb64a7f2b5757ec8051ca0a83")
+
+    @pytest.mark.parametrize("argv", [
+        ("c1", "--problem", "ou", "--quad-nodes", "8", "--format", "csv"),
+        ("oracle", "--problem", "ou", "--n-steps", "8", "--format", "csv"),
+        ("oracle", "--problem", "ou", "--n-steps", "8", "--format", "svg"),
+    ])
+    def test_format_missing_for_report_is_config_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "report.out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_CONFIG
+        assert err == f"weakerr: the {argv[0]} report has no {argv[-1]} form\n"
+        assert not path.exists()
+
+
+class TestNumericalFailures:
+    def config(self, tmp_path, text):
+        path = tmp_path / "prob.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_non_finite_report_is_not_written(self, capsys, tmp_path):
+        # E X_T^4 of this gbm is about 1e260: the sample variance overflows
+        # and the level stderr comes out NaN.
+        cfg = self.config(tmp_path, "mu = 0.05\ns = 10\nf_poly = 0,0,0,0,1\n")
+        argv = ("mc", "--config", cfg, "--levels", "16", "--paths", "2000",
+                "--seed", "1")
+        path = tmp_path / "report.json"
+        for fmt in ("json", "csv", "svg"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == EXIT_NUMERICAL
+            assert out == ""
+            assert err.splitlines()[-1].startswith("weakerr: numerical failure:")
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == EXIT_NUMERICAL
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text,argv", [
+        # math.exp of the fourth-moment growth rate overflows
+        ("mu = 0.05\ns = 12\nf_poly = 0,0,0,0,1\n", ("oracle", "--n-steps", "8")),
+        # the pushed-forward Gaussian's scale**i overflows
+        ("theta = -400\nsigma = 1\n", ("c1", "--quad-nodes", "2")),
+    ])
+    def test_overflow_is_numerical_failure(self, capsys, tmp_path, text, argv):
+        code, out, err = run_cli(capsys, *argv, "--config", self.config(tmp_path, text))
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.splitlines()[-1].startswith("weakerr: numerical failure:")
+
+
 class TestProblemConfig:
     CFG = """\
 # custom mean-reverting benchmark

@@ -17,19 +17,18 @@ def ou_implicit_m2(theta, sigma, x0, horizon, n):
 
 class TestStepCoefficients:
     def test_ou_implicit(self, problems):
-        alpha, beta, gamma, delta = step_coefficients(
+        alpha, beta, gamma = step_coefficients(
             problems["ou"], SchemeConfig(n_steps=10), 0.1)
         assert alpha == pytest.approx(1 / 1.1, abs=1e-15)
         assert beta == 0.0
         assert gamma == pytest.approx(1 / 1.1, abs=1e-15)
-        assert delta == 0.0
 
     def test_gbm_explicit(self, problems):
-        alpha, beta, gamma, delta = step_coefficients(
+        alpha, beta, gamma = step_coefficients(
             problems["gbm"], SchemeConfig(n_steps=10, kind="explicit"), 0.1)
         assert alpha == pytest.approx(1.005, abs=1e-15)
         assert beta == 0.2
-        assert gamma == 0.0 and delta == 0.0
+        assert gamma == 0.0
 
     def test_tanh_rejected(self, problems):
         with pytest.raises(ValueError):

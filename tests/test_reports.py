@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import weakerr as we
 from weakerr.montecarlo import LevelEstimate, WeakErrorReport
 from weakerr.rates import expansion_check
-from weakerr.reports import emit_report
+from weakerr.reports import emit_report, render
 
 
 @pytest.fixture
@@ -115,3 +117,20 @@ class TestErrors:
     def test_unknown_report_type(self, tmp_path):
         with pytest.raises(TypeError):
             emit_report(object(), "json", tmp_path / "x.json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_is_refused(self, sample_report, tmp_path, fmt, bad):
+        level = dataclasses.replace(sample_report.levels[0], stderr=bad)
+        rep = dataclasses.replace(sample_report, levels=(level,))
+        with pytest.raises(FloatingPointError):
+            render(rep, fmt)
+        with pytest.raises(FloatingPointError):
+            emit_report(rep, fmt, tmp_path / f"x.{fmt}")
+        assert not (tmp_path / f"x.{fmt}").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_format_missing_for_report_type(self, fmt):
+        c1 = we.LeadingConstant(value=0.1, quad_nodes=8, abs_err_est=0.0)
+        with pytest.raises(ValueError, match=f"LeadingConstant report has no {fmt}"):
+            render(c1, fmt)

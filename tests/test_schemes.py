@@ -154,51 +154,44 @@ class TestContraction:
                 err_prev = err
 
 
+def run_path(p, cfg, increments):
+    """One path through ``run_paths``: its N+1 grid values."""
+    return we.run_paths(p, cfg, np.atleast_2d(increments), keep_path=True)[0]
+
+
 class TestRunPath:
     def test_constant_path_for_zero_increments(self, problems):
-        out = we.run_path(problems["bm"], SchemeConfig(n_steps=5), np.zeros(5))
+        out = run_path(problems["bm"], SchemeConfig(n_steps=5), np.zeros(5))
         assert np.array_equal(out, np.zeros(6))
 
     def test_single_explicit_step(self, problems):
         # gbm keeps h * lip_b inside the guard even at N = 1
         p = problems["gbm"]
         cfg = SchemeConfig(n_steps=1, kind="explicit")
-        out = we.run_path(p, cfg, [0.3])
+        out = run_path(p, cfg, [0.3])
         assert out[0] == p.x0
         assert out[1] == we.explicit_step(p, 1.0, p.x0, 0.3)
 
     def test_solvers_agree_along_paths(self, problems):
         p = problems["ou"]
         incs = np.random.default_rng(4).normal(0, 0.25, 16)
-        path_fp = we.run_path(p, SchemeConfig(n_steps=16, solver="fixed_point"), incs)
-        path_cf = we.run_path(p, SchemeConfig(n_steps=16, solver="closed_form_affine"), incs)
+        path_fp = run_path(p, SchemeConfig(n_steps=16, solver="fixed_point"), incs)
+        path_cf = run_path(p, SchemeConfig(n_steps=16, solver="closed_form_affine"), incs)
         assert np.max(np.abs(path_fp - path_cf)) <= 16 * 1e-12
 
     def test_wrong_length_rejected(self, problems):
         with pytest.raises(ValueError):
-            we.run_path(problems["bm"], SchemeConfig(n_steps=4), np.zeros(5))
+            run_path(problems["bm"], SchemeConfig(n_steps=4), np.zeros(5))
 
     def test_step_guard_applies(self, problems):
         with pytest.raises(we.StepSizeError):
-            we.run_path(problems["tanh"], SchemeConfig(n_steps=1), [0.1])
+            run_path(problems["tanh"], SchemeConfig(n_steps=1), [0.1])
 
     def test_failure_reports_step_index(self, problems):
         cfg = SchemeConfig(n_steps=4, fp_tol=1e-16, fp_max_iter=1)
         with pytest.raises(we.NoConvergence) as exc:
-            we.run_path(problems["tanh"], cfg, [0.5, 0.5, 0.5, 0.5])
+            run_path(problems["tanh"], cfg, [0.5, 0.5, 0.5, 0.5])
         assert exc.value.step_index == 0
-
-    def test_iterate_path_states(self, problems):
-        p = problems["ou"]
-        cfg = SchemeConfig(n_steps=6)
-        incs = np.random.default_rng(8).normal(0, 0.4, 6)
-        states = list(we.iterate_path(p, cfg, incs))
-        assert [s.k for s in states] == list(range(7))
-        assert [s.rng_draws for s in states] == list(range(7))
-        assert states[0].x == p.x0
-        assert np.array_equal([s.x for s in states], we.run_path(p, cfg, incs))
-        with pytest.raises(ValueError):
-            we.PathState(k=-1, x=0.0, rng_draws=0)
 
     def test_run_paths_matches_run_path(self, problems):
         p = problems["gbm"]
@@ -206,7 +199,8 @@ class TestRunPath:
         incs = np.random.default_rng(5).normal(0, 0.35, (6, 8))
         full = we.run_paths(p, cfg, incs, keep_path=True)
         for i in range(6):
-            assert np.array_equal(full[i], we.run_path(p, cfg, incs[i]))
+            assert full[i, 0] == p.x0
+            assert np.array_equal(full[i], run_path(p, cfg, incs[i]))
         terminal = we.run_paths(p, cfg, incs)
         assert np.array_equal(terminal, full[:, -1])
 
