@@ -58,7 +58,6 @@ from .montecarlo import (
     estimate_weak_error,
     oracle_report,
     richardson,
-    sample_increments,
 )
 from .rates import ExpansionTable, RateFit, TooFewPoints, expansion_check, fit_rate
 from .reports import emit_report
@@ -114,7 +113,6 @@ __all__ = [
     "riemann_psi_sum",
     "run_paths",
     "s_h",
-    "sample_increments",
     "tanh_problem",
     "weak_error_exact",
 ]

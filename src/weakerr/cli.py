@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -92,17 +93,6 @@ def _resolve_problem(args) -> Problem:
     return get_problem(args.problem)
 
 
-def _psi_kind(args) -> PsiKind:
-    h = getattr(args, "h", None)
-    if args.kind == "psi_ih":
-        if h is None:
-            raise ValueError("kind psi_ih needs --h")
-        return PsiKind("psi_ih", h=h)
-    if h is not None:
-        raise ValueError(f"kind {args.kind} is h-free; drop --h")
-    return PsiKind(args.kind)
-
-
 def _parse_levels(text: str) -> tuple:
     try:
         levels = tuple(int(tok) for tok in text.split(","))
@@ -137,8 +127,7 @@ def _deliver(report, args) -> None:
     _write(text, args.out)
 
 
-def _cmd_oracle(args) -> None:
-    p = _resolve_problem(args)
+def _cmd_oracle(args, p: Problem) -> None:
     cfg = _scheme_config(args, args.n_steps)
     we = weak_error_exact(p, cfg)
     _deliver({"problem": p.name, "scheme": cfg.kind, "n_steps": cfg.n_steps,
@@ -157,18 +146,16 @@ def _mc_report(args, p: Problem, levels: tuple):
                                fp_max_iter=args.fp_max_iter, solver=solver)
 
 
-def _cmd_mc(args) -> None:
-    p = _resolve_problem(args)
+def _cmd_mc(args, p: Problem) -> None:
     _deliver(_mc_report(args, p, _parse_levels(args.levels)), args)
 
 
-def _cmd_psi(args) -> None:
-    p = _resolve_problem(args)
+def _cmd_psi(args, p: Problem) -> None:
     if p.u_jet is None:
         raise ValueError(f"problem {p.name!r} has no closed-form u; psi is unavailable")
     if args.format not in (None, "csv"):
         raise ValueError("the psi table is emitted as csv only")
-    kind = _psi_kind(args)
+    kind = PsiKind(args.kind, h=args.h)
     try:
         nt, nx = (int(tok) for tok in args.grid.lower().split("x"))
     except ValueError:
@@ -180,29 +167,25 @@ def _cmd_psi(args) -> None:
     _write("t,x,psi\n" + "\n".join(text_rows) + "\n", args.out)
 
 
-def _cmd_c1(args) -> None:
-    p = _resolve_problem(args)
-    kind = _psi_kind(args)
+def _cmd_c1(args, p: Problem) -> None:
+    kind = PsiKind(args.kind, h=args.h)
     _deliver(leading_constant(p, kind, quad_nodes=args.quad_nodes), args)
 
 
-def _cmd_converge(args) -> None:
-    p = _resolve_problem(args)
+def _cmd_converge(args, p: Problem) -> None:
     levels = _parse_levels(args.levels)
     points = [(p.horizon / n, weak_error_exact(p, _scheme_config(args, n)))
               for n in sorted(set(levels))]
     _deliver(fit_rate(points), args)
 
 
-def _cmd_expand(args) -> None:
-    p = _resolve_problem(args)
-    table = expansion_check(p, _parse_levels(args.levels), kind=_psi_kind(args),
-                            quad_nodes=args.quad_nodes)
+def _cmd_expand(args, p: Problem) -> None:
+    table = expansion_check(p, _parse_levels(args.levels),
+                            kind=PsiKind(args.kind, h=args.h), quad_nodes=args.quad_nodes)
     _deliver(table, args)
 
 
-def _cmd_richardson(args) -> None:
-    p = _resolve_problem(args)
+def _cmd_richardson(args, p: Problem) -> None:
     levels = _parse_levels(args.levels)
     if args.estimator == "oracle":
         report = oracle_report(p, args.scheme, levels)
@@ -295,9 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # The exit-3 line below reports a numerical failure; numpy's
+        # RuntimeWarnings on the way to it would only repeat it.  The filter
+        # is process-wide, so it holds in the Monte Carlo worker threads too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            p = _resolve_problem(args)
+            args.func(args, p)
     except (NoConvergence, ArithmeticError) as err:
-        print(f"weakerr: numerical failure: {err}", file=sys.stderr)
+        print(f"weakerr: numerical failure: {args.command} on problem {p.name!r}: {err}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TooFewPoints, InsufficientJetOrder) as err:
         print(f"weakerr: {err}", file=sys.stderr)

@@ -116,20 +116,11 @@ def _pieces(b: Jet4, sigma: Jet4, u: Jet4):
     return du, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap
 
 
-def eval_psi(kind, b: Jet4, sigma: Jet4, u: Jet4, h: Optional[float] = None):
+def eval_psi(kind: PsiKind, b: Jet4, sigma: Jet4, u: Jet4):
     """Evaluate the selected density at one jet point or a batch of them.
 
-    ``kind`` is a :class:`PsiKind` or one of the names in ``PSI_NAMES``; for
-    psi_ih the step size comes from the kind or the ``h`` argument.
+    psi_ih takes its step size from ``kind``.
     """
-    if isinstance(kind, str):
-        kind = PsiKind(kind, h=h)
-    elif h is not None:
-        if kind.name != "psi_ih":
-            raise ValueError(f"{kind.name} is h-free; do not pass h")
-        if kind.h is not None and kind.h != h:
-            raise ValueError("conflicting h between kind and argument")
-        kind = PsiKind(kind.name, h=h)
     _require_orders(b, sigma, u)
 
     _, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap = _pieces(b, sigma, u)
@@ -231,7 +222,7 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
 # integration against the exact law of X_t
 # ---------------------------------------------------------------------------
 
-def psi_at(p: Problem, kind, t: float, x):
+def psi_at(p: Problem, kind: PsiKind, t: float, x):
     """The selected density at (t, x) using the problem's coefficient jets.
 
     ``x`` may be an array of points; the result is then the array of values.
@@ -241,7 +232,7 @@ def psi_at(p: Problem, kind, t: float, x):
     return eval_psi(kind, p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
 
 
-def expect_psi(p: Problem, kind, t: float) -> float:
+def expect_psi(p: Problem, kind: PsiKind, t: float) -> float:
     """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite."""
     law = marginal_law(p, t)
     if law.family == "dirac" or law.variance == 0.0:
@@ -256,7 +247,7 @@ def expect_psi(p: Problem, kind, t: float) -> float:
     return float(sum(_GH_W * psi_at(p, kind, t, xs)))
 
 
-def _time_integral(p: Problem, kind, panels: int) -> float:
+def _time_integral(p: Problem, kind: PsiKind, panels: int) -> float:
     """Composite Gauss-Legendre integral of E psi(t, X_t) over [0, T]."""
     width = p.horizon / panels
     total = 0.0
@@ -267,7 +258,7 @@ def _time_integral(p: Problem, kind, panels: int) -> float:
     return float(total)
 
 
-def leading_constant(p: Problem, kind, quad_nodes: int = 64) -> LeadingConstant:
+def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> LeadingConstant:
     """C1 = E int_0^T psi(t, X_t) dt by quadrature with error control.
 
     ``quad_nodes`` counts Gauss-Legendre panels in time (8 points each); the
@@ -286,7 +277,7 @@ def leading_constant(p: Problem, kind, quad_nodes: int = 64) -> LeadingConstant:
                            abs_err_est=abs(refined - value))
 
 
-def riemann_psi_sum(p: Problem, kind, n_steps: int) -> float:
+def riemann_psi_sum(p: Problem, kind: PsiKind, n_steps: int) -> float:
     """Left-endpoint Riemann sum h * sum_k E psi(t_k, X_{t_k}).
 
     Approaches the leading constant at rate O(h); the k = 0 term uses the

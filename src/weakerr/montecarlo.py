@@ -103,19 +103,6 @@ class WeakErrorReport:
         if self.reference_source not in REFERENCE_SOURCES:
             raise ValueError(f"reference_source must be one of {REFERENCE_SOURCES}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "scheme": self.scheme,
-            "reference": self.reference,
-            "reference_source": self.reference_source,
-            "levels": [
-                {"n_steps": lv.n_steps, "h": lv.h, "estimate": lv.estimate,
-                 "stderr": lv.stderr, "source": lv.source}
-                for lv in self.levels
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class RichardsonPoint:
@@ -124,15 +111,6 @@ class RichardsonPoint:
     h: float
     extrapolated_error: float
     stderr: float
-
-
-def sample_increments(cfg: McConfig, path_index: int, horizon: float = 1.0) -> np.ndarray:
-    """The finest-grid Brownian increments of one path, N(0, horizon/finest_n).
-
-    Reproducible in isolation: the draw depends only on (seed, path_index).
-    """
-    return rng.gaussian_increments(cfg.seed, [path_index], cfg.finest_n,
-                                   horizon / cfg.finest_n)[0]
 
 
 def _coarsen(fine: np.ndarray, n_steps: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Benchmark scalar SDE problems.
 
-A :class:`Problem` bundles the drift b, diffusion sigma and payoff f of
-``dX = b(X) dt + sigma(X) dW`` as derivative jets (for the density algebra)
-and as vectorized callables (for path simulation), plus, where closed forms
-exist, the solution u(t, x) of the backward equation
+A :class:`Problem` bundles the drift b and diffusion sigma of
+``dX = b(X) dt + sigma(X) dW`` as derivative jets, which serve the density
+algebra and the path steppers alike, and the payoff f as a vectorized
+callable, plus, where closed forms exist, the solution u(t, x) of the
+backward equation
 
     du/dt + b du/dx + (1/2) sigma^2 d2u/dx2 = 0,   u(T, .) = f,
 
@@ -80,24 +81,23 @@ class AffineModel:
 class Problem:
     """An SDE benchmark: coefficients, payoff, and whatever closed forms exist.
 
-    ``b_jet``/``sigma_jet`` provide at least two trustworthy derivatives;
-    ``u_jet``, when present, provides four and satisfies the backward PDE.
-    ``b``, ``b_prime``, ``sigma`` and ``f`` accept scalars or numpy arrays.
-    The jets of the affine families accept an array of points too and then
-    return a batch of jets (see :mod:`weakerr.jets`); the tanh jets are
-    scalar only.
+    ``b_jet(x, order=4)`` and ``sigma_jet(x, order=4)`` are the only
+    description of the coefficients.  A caller names the highest derivative
+    it will read, and the jet is trustworthy through at least
+    ``min(order, 2)``: the steppers ask for order 0 (values) or 1 (b' for
+    Newton and S_h), so the tanh jets skip the derivatives that only the
+    densities read; the affine jets ignore ``order``.  ``u_jet``, when
+    present, provides four derivatives and satisfies the backward PDE.
+    ``x`` may be a float or a numpy array of points, which gives a batch of
+    jets (see :mod:`weakerr.jets`); ``f`` accepts either too.
     """
 
     name: str
     x0: float
     horizon: float
     lip_b: float
-    b_jet: Callable[[float], Jet4]
-    sigma_jet: Callable[[float], Jet4]
-    f_jet: Callable[[float], Jet4]
-    b: Callable
-    b_prime: Callable
-    sigma: Callable
+    b_jet: Callable[..., Jet4]
+    sigma_jet: Callable[..., Jet4]
     f: Callable
     u_jet: Optional[Callable[[float, float], Jet4]] = None
     exact_terminal: Optional[Callable[[], float]] = None
@@ -152,10 +152,6 @@ def _gaussian_poly_push(coeffs, scale: float, var: float) -> tuple:
     return tuple(out)
 
 
-def _const_fn(c: float):
-    return lambda x: c + 0.0 * x
-
-
 # ---------------------------------------------------------------------------
 # problem builders
 # ---------------------------------------------------------------------------
@@ -206,12 +202,8 @@ def ou_family_problem(
         x0=float(x0),
         horizon=float(horizon),
         lip_b=abs(b1),
-        b_jet=lambda x: Jet4((b1 * x, b1, 0.0, 0.0, 0.0)),
-        sigma_jet=lambda x: Jet4.constant(sigma),
-        f_jet=lambda x: _poly_jet(f_poly, x),
-        b=lambda x: b1 * x,
-        b_prime=_const_fn(b1),
-        sigma=_const_fn(sigma),
+        b_jet=lambda x, order=4: Jet4((b1 * x, b1, 0.0, 0.0, 0.0)),
+        sigma_jet=lambda x, order=4: Jet4.constant(sigma),
         f=lambda x: np.polynomial.polynomial.polyval(x, f_poly),
         u_jet=u_jet,
         exact_terminal=exact_terminal,
@@ -256,12 +248,8 @@ def gbm_family_problem(
         x0=float(x0),
         horizon=float(horizon),
         lip_b=abs(mu),
-        b_jet=lambda x: Jet4((mu * x, mu, 0.0, 0.0, 0.0)),
-        sigma_jet=lambda x: Jet4((s * x, s, 0.0, 0.0, 0.0)),
-        f_jet=lambda x: _poly_jet(f_poly, x),
-        b=lambda x: mu * x,
-        b_prime=_const_fn(mu),
-        sigma=lambda x: s * x,
+        b_jet=lambda x, order=4: Jet4((mu * x, mu, 0.0, 0.0, 0.0)),
+        sigma_jet=lambda x, order=4: Jet4((s * x, s, 0.0, 0.0, 0.0)),
         f=lambda x: np.polynomial.polynomial.polyval(x, f_poly),
         u_jet=lambda t, x: _poly_jet(_pushed(horizon - t), x),
         exact_terminal=lambda: float(
@@ -280,17 +268,17 @@ def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,
     if c <= 0:
         raise ValueError("c must be positive")
 
-    def b_jet(x: float) -> Jet4:
-        t = math.tanh(x)
-        sech2 = 1.0 - t * t
-        return Jet4((t, sech2, -2.0 * t * sech2, 0.0, 0.0), valid_order=2)
+    def b_jet(x, order: int = 4) -> Jet4:
+        t = np.tanh(x)
+        sech2 = 1.0 - t * t if order >= 1 else 0.0
+        b2 = -2.0 * t * sech2 if order >= 2 else 0.0
+        return Jet4((t, sech2, b2, 0.0, 0.0), valid_order=min(order, 2))
 
-    def sigma_jet(x: float) -> Jet4:
-        r = math.sqrt(1.0 + x * x)
-        return Jet4((c * r, c * x / r, c / r**3, 0.0, 0.0), valid_order=2)
-
-    def f_jet(x: float) -> Jet4:
-        return Jet4((math.cos(x), -math.sin(x), -math.cos(x), math.sin(x), math.cos(x)))
+    def sigma_jet(x, order: int = 4) -> Jet4:
+        r = np.sqrt(1.0 + x * x)
+        s1 = c * x / r if order >= 1 else 0.0
+        s2 = c / r**3 if order >= 2 else 0.0
+        return Jet4((c * r, s1, s2, 0.0, 0.0), valid_order=min(order, 2))
 
     return Problem(
         name=name,
@@ -299,10 +287,6 @@ def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,
         lip_b=1.0,
         b_jet=b_jet,
         sigma_jet=sigma_jet,
-        f_jet=f_jet,
-        b=np.tanh,
-        b_prime=lambda x: 1.0 - np.tanh(x) ** 2,
-        sigma=lambda x: c * np.sqrt(1.0 + x * x),
         f=np.cos,
     )
 

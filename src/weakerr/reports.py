@@ -29,7 +29,17 @@ def _rate_fit_dict(fit: RateFit) -> dict:
 
 def _json_payload(report):
     if isinstance(report, WeakErrorReport):
-        return report.to_json_dict()
+        return {
+            "problem": report.problem,
+            "scheme": report.scheme,
+            "reference": report.reference,
+            "reference_source": report.reference_source,
+            "levels": [
+                {"n_steps": lv.n_steps, "h": lv.h, "estimate": lv.estimate,
+                 "stderr": lv.stderr, "source": lv.source}
+                for lv in report.levels
+            ],
+        }
     if isinstance(report, ExpansionTable):
         return {
             "problem": report.problem,

@@ -107,12 +107,12 @@ def resolvent(b_prime, h: float):
 
 def s_h(p: Problem, h: float, x):
     """The resolvent map S_h(x) = 1 / (1 - h b'(x))."""
-    return resolvent(p.b_prime(x), h)
+    return resolvent(p.b_jet(x, order=1).deriv(1), h)
 
 
 def explicit_step(p: Problem, h: float, x, dw):
     """One explicit Euler step: x + b(x) h + sigma(x) dw."""
-    return x + p.b(x) * h + p.sigma(x) * dw
+    return x + p.b_jet(x, order=0).value() * h + p.sigma_jet(x, order=0).value() * dw
 
 
 def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
@@ -125,7 +125,7 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     """
     if h * p.lip_b > MAX_H_LIP:
         raise StepSizeError(f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}")
-    xi = x + p.sigma(x) * dw
+    xi = x + p.sigma_jet(x, order=0).value() * dw
 
     if cfg.solver == "closed_form_affine":
         if p.affine is None:
@@ -136,10 +136,11 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     if cfg.solver == "newton":
         y = xi if start is None else start
         for it in range(cfg.fp_max_iter):
-            res = y - h * p.b(y) - xi
+            b = p.b_jet(y, order=1)
+            res = y - h * b.value() - xi
             if np.max(np.abs(res)) <= cfg.fp_tol:
                 return y, it
-            y = y - res / _resolvent_den(p.b_prime(y), h)
+            y = y - res / _resolvent_den(b.deriv(1), h)
         raise NoConvergence(
             f"newton solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
             path_index=_worst_index(res))
@@ -147,10 +148,10 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     # fixed_point: y_{i+1} = xi + h b(y_i); the residual of y_{i+1} equals
     # h |b(y_i) - b(y_{i+1})|, so one drift evaluation per iteration suffices.
     y = xi if start is None else start
-    by = p.b(y)
+    by = p.b_jet(y, order=0).value()
     for it in range(cfg.fp_max_iter):
         y_next = xi + h * by
-        by_next = p.b(y_next)
+        by_next = p.b_jet(y_next, order=0).value()
         res = h * np.abs(by_next - by)
         if np.max(res) <= cfg.fp_tol:
             return y_next, it + 1
@@ -208,5 +209,5 @@ def pathwise_derivative_check(p: Problem, cfg: SchemeConfig, h: float, x, dw,
     x_minus, _ = implicit_step(p, cfg, h, x, dw - eps)
     fd = (x_plus - x_minus) / (2.0 * eps)
     x_next, _ = implicit_step(p, cfg, h, x, dw)
-    theory = s_h(p, h, x_next) * p.sigma(x)
+    theory = s_h(p, h, x_next) * p.sigma_jet(x, order=0).value()
     return fd, theory

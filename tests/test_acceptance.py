@@ -7,6 +7,7 @@ complete.  Tolerances are pinned here, not configurable.
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 import weakerr as we
@@ -15,6 +16,7 @@ from weakerr.expansion import PSI_E, PSI_I, eval_psi, eval_psi_i_expanded, psi_i
 from weakerr.jets import Jet4
 from weakerr.montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
 from weakerr.rates import expansion_check, fit_rate
+from weakerr.reports import render
 from weakerr.schemes import SchemeConfig, check_step_size
 
 LEVELS = (16, 32, 64, 128, 256, 512)
@@ -146,12 +148,12 @@ def test_criterion_06_fixed_point_contraction(problems):
             x = gen.uniform(-2.0, 2.0, 10_000)
         dw = gen.normal(0.0, math.sqrt(h), 10_000)
         x_star, _ = we.implicit_step(p, cfg, h, x, dw)
-        xi = x + p.sigma(x) * dw
+        xi = x + p.sigma_jet(x, order=0).value() * dw
         y = xi
         err_prev = np.abs(y - x_star)
         worst_ratio = 0.0
         for _ in range(10):
-            y = xi + h * p.b(y)
+            y = xi + h * p.b_jet(y, order=0).value()
             err = np.abs(y - x_star)
             mask = err_prev > 1e-6
             if not np.any(mask):
@@ -277,9 +279,10 @@ def test_criterion_10_kolmogorov_residual(problems):
     for name in ("bm", "ou", "gbm"):
         p = problems[name]
         for x in np.linspace(p.x0 - 3.0, p.x0 + 3.0, 9):
-            uT, fj = p.u_jet(p.horizon, float(x)), p.f_jet(float(x))
+            uT = p.u_jet(p.horizon, float(x))
             for k in range(5):
-                if abs(uT.deriv(k) - fj.deriv(k)) > 1e-10 * max(1.0, abs(fj.deriv(k))):
+                fk = P.polyval(x, P.polyder(p.f_poly, k))
+                if abs(uT.deriv(k) - fk) > 1e-10 * max(1.0, abs(fk)):
                     terminal_ok = False
     _report(10, ok and terminal_ok,
             "Kolmogorov residual <= 1e-8 on 20x20 grid; u(T,.) = f with derivatives",
@@ -299,7 +302,7 @@ def test_criterion_11_mc_oracle_consistency(problems):
             oracle = we.weak_error_exact(p, SchemeConfig(n_steps=lv.n_steps))
             zs.append(abs(lv.estimate - oracle) / lv.stderr)
         again = estimate_weak_error(p, mc, "implicit")
-        reproducible = (rep.to_json_dict() == again.to_json_dict()
+        reproducible = (render(rep, "json") == render(again, "json")
                         and np.array_equal(rep.covariance, again.covariance))
         ok = ok and max(zs) <= 4.0 and reproducible
         details.append(f"{name}: max|z|={max(zs):.2f}, reproducible={reproducible}")

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,6 +254,29 @@ class TestNumericalFailures:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err.splitlines()[-1].startswith("weakerr: numerical failure:")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("text,argv", [
+        # 40000 paths make two batches, so two threads both run one
+        ("mu = 0.05\ns = 10\nf_poly = 0,0,0,0,1\n",
+         ("mc", "--levels", "16", "--paths", "40000", "--seed", "1")),
+        ("mu = 0.05\ns = 12\nf_poly = 0,0,0,0,1\n", ("oracle", "--n-steps", "8")),
+        ("theta = -400\nsigma = 1\n", ("c1", "--quad-nodes", "2")),
+    ], ids=["mc", "oracle", "c1"])
+    def test_failure_prints_one_line(self, tmp_path, text, argv, threads):
+        # A fresh interpreter, so that numpy's RuntimeWarnings reach stderr
+        # as they would in a shell instead of pytest's warning capture.
+        (tmp_path / "prob.cfg").write_text(text.replace("\n", "\nname = edge\n", 1))
+        env = dict(os.environ, WEAKERR_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(we.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakerr.cli", *argv, "--config", "prob.cfg"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(
+            f"weakerr: numerical failure: {argv[0]} on problem 'edge': ")
 
 
 class TestProblemConfig:

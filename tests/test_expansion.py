@@ -182,15 +182,6 @@ class TestPsiKindValidation:
             PsiKind("psi_ih")
         assert psi_ih_kind(0.25).h == 0.25
 
-    def test_eval_psi_h_consistency(self):
-        b = Jet4((0.5, -1.0, 0.0, 0.0, 0.0))
-        sigma = Jet4.constant(1.0)
-        u = Jet4((1.0, 1.0, 1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            eval_psi(PSI_I, b, sigma, u, h=0.1)
-        assert eval_psi("psi_ih", b, sigma, u, h=0.1) == pytest.approx(
-            eval_psi(psi_ih_kind(0.1), b, sigma, u))
-
     def test_insufficient_jet_order(self):
         b = Jet4((0.5, -1.0, 0.0, 0.0, 0.0))
         sigma = Jet4.constant(1.0)

@@ -127,7 +127,6 @@ class TestWeakErrorExact:
         # coarse cross-check; the tight 4-sigma version is acceptance work
         p = problems["ou"]
         n, paths = 16, 200_000
-        incs = we.sample_increments  # noqa: F841  (API presence)
         from weakerr import rng
         z = rng.gaussian_increments(11, np.arange(paths, dtype=np.uint64), n, 1.0 / n)
         term = we.run_paths(p, SchemeConfig(n_steps=n), z)

@@ -7,6 +7,7 @@ import pytest
 import weakerr as we
 from weakerr import rng
 from weakerr.montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
+from weakerr.reports import render
 from weakerr.schemes import SchemeConfig
 
 
@@ -27,25 +28,24 @@ class TestMcConfig:
 
 
 class TestSampleIncrements:
+    """One path's finest-grid increments, as a Monte Carlo batch draws them."""
+
     def test_reproducible_in_isolation(self):
-        mc = McConfig(n_paths=1000, seed=7, finest_n=128, levels=(16,))
-        a = we.sample_increments(mc, 12)
-        b = we.sample_increments(mc, 12)
+        a = rng.gaussian_increments(7, [12], 128, 1.0 / 128)[0]
+        b = rng.gaussian_increments(7, [12], 128, 1.0 / 128)[0]
         assert np.array_equal(a, b)
         assert a.shape == (128,)
 
     def test_coarse_increment_is_exact_pair_sum(self):
-        mc = McConfig(n_paths=1000, seed=3, finest_n=64, levels=(32,))
-        fine = we.sample_increments(mc, 5)
+        fine = rng.gaussian_increments(3, [5], 64, 1.0 / 64)[0]
         coarse = fine.reshape(32, 2).sum(axis=1)
         for k in range(32):
             assert coarse[k] == fine[2 * k] + fine[2 * k + 1]
 
     def test_variance(self):
-        mc = McConfig(n_paths=1000, seed=1, finest_n=1024, levels=(16,))
-        draws = np.concatenate([we.sample_increments(mc, i, horizon=2.0)
-                                for i in range(512)])
         dt = 2.0 / 1024
+        draws = np.concatenate([rng.gaussian_increments(1, [i], 1024, dt)[0]
+                                for i in range(512)])
         assert abs(draws.var() / dt - 1.0) <= 0.01
 
 
@@ -71,7 +71,7 @@ class TestEstimateWeakError:
         mc = McConfig(n_paths=4_000, seed=11, finest_n=32, levels=(8, 32))
         a = estimate_weak_error(problems["ou"], mc, "implicit")
         b = estimate_weak_error(problems["ou"], mc, "implicit")
-        assert a.to_json_dict() == b.to_json_dict()
+        assert render(a, "json") == render(b, "json")
         assert np.array_equal(a.covariance, b.covariance)
 
     def test_worker_count_does_not_change_results(self, problems, monkeypatch):
@@ -79,7 +79,7 @@ class TestEstimateWeakError:
         serial = estimate_weak_error(problems["ou"], mc, "implicit")
         monkeypatch.setenv("WEAKERR_THREADS", "4")
         threaded = estimate_weak_error(problems["ou"], mc, "implicit")
-        assert serial.to_json_dict() == threaded.to_json_dict()
+        assert render(serial, "json") == render(threaded, "json")
 
     def test_explicit_kind(self, problems):
         mc = McConfig(n_paths=50_000, seed=21, finest_n=32, levels=(32,))

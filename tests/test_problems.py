@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from scipy.integrate import quad
 
@@ -48,9 +49,9 @@ class TestUJet:
         p = problems[name]
         for x in np.linspace(p.x0 - 3, p.x0 + 3, 9):
             uT = p.u_jet(p.horizon, x)
-            fj = p.f_jet(x)
             for k in range(5):
-                assert abs(uT.deriv(k) - fj.deriv(k)) <= 1e-10 * max(1.0, abs(fj.deriv(k)))
+                fk = P.polyval(x, P.polyder(p.f_poly, k))
+                assert abs(uT.deriv(k) - fk) <= 1e-10 * max(1.0, abs(fk))
 
     @pytest.mark.parametrize("name", ["bm", "ou", "gbm"])
     def test_spatial_derivatives_match_finite_differences(self, problems, name):
@@ -165,6 +166,24 @@ class TestCoefficientJets:
             assert sj.deriv(1) == pytest.approx((s(x + dx) - s(x - dx)) / (2 * dx), abs=1e-9)
             assert sj.deriv(2) == pytest.approx(
                 (s(x + dx) - 2 * s(x) + s(x - dx)) / dx**2, abs=1e-3)
+
+    @pytest.mark.parametrize("name", ["bm", "ou", "gbm", "tanh"])
+    def test_low_order_jets_match_full_jet_bitwise(self, problems, name):
+        # The steppers read order-0 and order-1 jets, the densities full
+        # ones: both must see the same coefficients, bit for bit.
+        p = problems[name]
+        xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, 101)
+
+        def bits(v):
+            return np.broadcast_to(np.asarray(v, dtype=float), xs.shape).tobytes()
+
+        for jet in (p.b_jet, p.sigma_jet):
+            full = jet(xs)
+            for order in (0, 1):
+                low = jet(xs, order=order)
+                assert low.valid_order >= order
+                for k in range(order + 1):
+                    assert bits(low.deriv(k)) == bits(full.deriv(k))
 
     def test_affine_jets_valid_order(self, problems):
         assert problems["ou"].b_jet(0.5).valid_order == 4

@@ -95,8 +95,8 @@ class TestImplicitStep:
         for _ in range(50):
             x, dw, h = rng.normal(), rng.normal(0, 0.3), rng.uniform(0.01, 0.4)
             y, _ = we.implicit_step(p, cfg, h, x, dw)
-            xi = x + p.sigma(x) * dw
-            assert abs(y - xi - h * p.b(y)) <= cfg.fp_tol
+            xi = x + p.sigma_jet(x, order=0).value() * dw
+            assert abs(y - xi - h * p.b_jet(y, order=0).value()) <= cfg.fp_tol
 
     def test_start_point_independence(self, problems):
         p = problems["tanh"]
@@ -143,10 +143,10 @@ class TestContraction:
             x_star, _ = we.implicit_step(
                 p, SchemeConfig(n_steps=cfg.n_steps, fp_tol=1e-15, fp_max_iter=300),
                 h, x, dw)
-            xi = x + p.sigma(x) * dw
+            xi = x + p.sigma_jet(x, order=0).value() * dw
             y, err_prev = xi, abs(xi - x_star)
             for _ in range(12):
-                y = xi + h * p.b(y)
+                y = xi + h * p.b_jet(y, order=0).value()
                 err = abs(y - x_star)
                 if err_prev <= 1e-8:
                     break
