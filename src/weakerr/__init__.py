@@ -16,6 +16,7 @@ from .problems import (
     AffineModel,
     MarginalLaw,
     Problem,
+    affine_problem,
     builtin_problems,
     gbm_family_problem,
     get_problem,
@@ -85,6 +86,7 @@ __all__ = [
     "StepSizeError",
     "TooFewPoints",
     "WeakErrorReport",
+    "affine_problem",
     "builtin_problems",
     "emit_report",
     "estimate_weak_error",

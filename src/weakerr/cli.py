@@ -13,6 +13,7 @@ included.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from .expansion import PSI_NAMES, PsiKind, leading_constant, psi_at
 from .jets import InsufficientJetOrder
-from .montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
+from .montecarlo import (SURROGATE_MARGIN, McConfig, estimate_weak_error, oracle_report,
+                         richardson)
 from .moments_oracle import weak_error_exact
 from .problems import Problem, gbm_family_problem, get_problem, ou_family_problem
 from .rates import TooFewPoints, expansion_check, fit_rate
@@ -69,6 +71,10 @@ def parse_problem_config(text: str) -> Problem:
         params = {k: float(v) for k, v in entries.items()}
     except ValueError as err:
         raise ValueError(f"config value does not parse as a number: {err}") from None
+    for key, values in (("x0", [x0]), ("horizon", [horizon]), ("f_poly", f_poly),
+                        *((k, [v]) for k, v in params.items())):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"config key {key!r} must be finite")
 
     if "theta" in params:
         if "mu" in params:
@@ -103,12 +109,6 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
-def _scheme_config(args, n_steps: int) -> SchemeConfig:
-    return SchemeConfig(n_steps=n_steps, kind=args.scheme,
-                        fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
-                        solver=_SOLVER_ALIASES[args.solver])
-
-
 def _write(text: str, path) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
@@ -128,22 +128,28 @@ def _deliver(report, args) -> None:
 
 
 def _cmd_oracle(args, p: Problem) -> None:
-    cfg = _scheme_config(args, args.n_steps)
+    cfg = SchemeConfig(n_steps=args.n_steps, kind=args.scheme)
     we = weak_error_exact(p, cfg)
     _deliver({"problem": p.name, "scheme": cfg.kind, "n_steps": cfg.n_steps,
               "h": p.horizon / cfg.n_steps, "weak_error": we}, args)
+
+
+def _solver_flags(args) -> dict:
+    """The implicit-solver settings given on the command line, by keyword."""
+    given = {"solver": _SOLVER_ALIASES.get(args.solver), "fp_tol": args.fp_tol,
+             "fp_max_iter": args.fp_max_iter}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _mc_report(args, p: Problem, levels: tuple):
     """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``."""
     finest = args.finest_n
     if finest is None:
-        finest = max(levels) if p.exact_terminal is not None else 8 * max(levels)
+        finest = (max(levels) if p.exact_terminal is not None
+                  else SURROGATE_MARGIN * max(levels))
     mc = McConfig(n_paths=args.paths, seed=args.seed, finest_n=finest,
                   levels=levels, antithetic=args.antithetic)
-    solver = None if args.solver == "auto" else _SOLVER_ALIASES[args.solver]
-    return estimate_weak_error(p, mc, args.scheme, fp_tol=args.fp_tol,
-                               fp_max_iter=args.fp_max_iter, solver=solver)
+    return estimate_weak_error(p, mc, args.scheme, **_solver_flags(args))
 
 
 def _cmd_mc(args, p: Problem) -> None:
@@ -163,6 +169,8 @@ def _cmd_psi(args, p: Problem) -> None:
     ts = np.linspace(0.0, p.horizon - 1e-3, nt)
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
     rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
+    if not all(math.isfinite(v) for _, _, v in rows):
+        raise FloatingPointError("the psi table holds a non-finite value")
     text_rows = [",".join(repr(float(v)) for v in row) for row in rows]
     _write("t,x,psi\n" + "\n".join(text_rows) + "\n", args.out)
 
@@ -173,10 +181,8 @@ def _cmd_c1(args, p: Problem) -> None:
 
 
 def _cmd_converge(args, p: Problem) -> None:
-    levels = _parse_levels(args.levels)
-    points = [(p.horizon / n, weak_error_exact(p, _scheme_config(args, n)))
-              for n in sorted(set(levels))]
-    _deliver(fit_rate(points), args)
+    report = oracle_report(p, args.scheme, _parse_levels(args.levels))
+    _deliver(fit_rate([(lv.h, lv.estimate) for lv in report.levels]), args)
 
 
 def _cmd_expand(args, p: Problem) -> None:
@@ -188,6 +194,8 @@ def _cmd_expand(args, p: Problem) -> None:
 def _cmd_richardson(args, p: Problem) -> None:
     levels = _parse_levels(args.levels)
     if args.estimator == "oracle":
+        if _solver_flags(args):
+            raise ValueError("--solver, --fp-tol and --fp-max-iter need --estimator mc")
         report = oracle_report(p, args.scheme, levels)
     else:
         report = _mc_report(args, p, levels)
@@ -202,22 +210,22 @@ def _add_common(sub, scheme: bool = True) -> None:
                      help="output format (default json; psi emits csv)")
     if scheme:
         sub.add_argument("--scheme", choices=("explicit", "implicit"), default="implicit")
-        sub.add_argument("--fp-tol", type=float, default=1e-12)
-        sub.add_argument("--fp-max-iter", type=int, default=100)
-        sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES), default="fp")
 
 
 def _add_mc(sub) -> None:
-    """Sampling flags of the subcommands that run :func:`_mc_report`.
+    """Sampling and solver flags of the subcommands that run :func:`_mc_report`.
 
-    Without ``--solver`` the implicit steps pick their own solver: closed
-    form for affine drifts, fixed point otherwise.
+    A solver flag left out keeps :func:`estimate_weak_error`'s default; without
+    ``--solver`` the implicit steps pick closed form for affine drifts, fixed
+    point otherwise.
     """
     sub.add_argument("--paths", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--finest-n", type=int, default=None)
     sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
-    sub.set_defaults(solver="auto")
+    sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES))
+    sub.add_argument("--fp-tol", type=float)
+    sub.add_argument("--fp-max-iter", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,6 +39,7 @@ the batch must reproduce the scalar values bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,8 +73,8 @@ class PsiKind:
         if self.name not in PSI_NAMES:
             raise ValueError(f"kind must be one of {PSI_NAMES}, got {self.name!r}")
         if self.name == "psi_ih":
-            if self.h is None or self.h <= 0:
-                raise ValueError("psi_ih needs an associated h > 0")
+            if self.h is None or not 0 < self.h < math.inf:
+                raise ValueError("psi_ih needs an associated finite h > 0")
         elif self.h is not None:
             raise ValueError(f"{self.name} is h-free; do not attach an h")
 

@@ -31,9 +31,9 @@ SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14
-# Surrogate references need the fine grid well separated from the levels
-# it judges.
-_SURROGATE_MARGIN = 8
+# Surrogate references need finest_n >= SURROGATE_MARGIN * the largest
+# level, so that the fine grid is well separated from the levels it judges.
+SURROGATE_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,15 @@ def _coarsen(fine: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def _n_workers() -> int:
+    """The worker cap from ``WEAKERR_THREADS`` (default 1)."""
+    text = os.environ.get("WEAKERR_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("WEAKERR_THREADS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"WEAKERR_THREADS must be a positive integer, got {text!r}")
+    return n
 
 
 def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
@@ -142,10 +147,10 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
     sim_levels = list(levels)
     surrogate = p.exact_terminal is None
     if surrogate:
-        if mc.finest_n < _SURROGATE_MARGIN * levels[-1]:
+        if mc.finest_n < SURROGATE_MARGIN * levels[-1]:
             raise ValueError(
-                f"surrogate reference needs finest_n >= {_SURROGATE_MARGIN} * "
-                f"largest level ({_SURROGATE_MARGIN * levels[-1]}), got {mc.finest_n}")
+                f"surrogate reference needs finest_n >= {SURROGATE_MARGIN} * "
+                f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {mc.finest_n}")
         sim_levels += [mc.finest_n // 2, mc.finest_n]
 
     configs = [SchemeConfig(n_steps=n, kind=kind, fp_tol=fp_tol,

@@ -10,7 +10,8 @@ backward equation
 
 the terminal expectation E f(X_T) and the exact marginal law of X_t.
 
-Two affine families cover the closed-form benchmarks:
+Two affine families cover the closed-form benchmarks; :func:`affine_problem`
+builds both from an :class:`AffineModel`:
 
 * mean-reverting family  b(x) = b1*x, sigma constant   (Brownian motion is
   the b1 = 0 case) -- Gaussian marginals, so E f(X_T | X_t = x) for a
@@ -109,7 +110,7 @@ class Problem:
 # polynomial helpers
 # ---------------------------------------------------------------------------
 
-def _poly_derivs(coeffs, x) -> tuple:
+def _poly_jet(coeffs, x) -> Jet4:
     """Value and first four derivatives of sum c_j x^j at x (float or array).
 
     Powers go through ``np.float_power``, which calls the C library's ``pow``
@@ -123,11 +124,7 @@ def _poly_derivs(coeffs, x) -> tuple:
         for j in range(k, len(coeffs)):
             acc += coeffs[j] * math.perm(j, k) * np.float_power(x, j - k)
         out.append(acc)
-    return tuple(out)
-
-
-def _poly_jet(coeffs, x) -> Jet4:
-    return Jet4(_poly_derivs(coeffs, x))
+    return Jet4(tuple(out))
 
 
 def _gaussian_central_moment(k: int, var: float) -> float:
@@ -166,36 +163,39 @@ def _ou_transition(b1: float, sigma: float, dt):
     return scale, var
 
 
-def ou_family_problem(
-    name: str,
-    theta: float,
-    sigma: float,
-    f_poly,
-    x0: float,
-    horizon: float,
-) -> Problem:
-    """Mean-reverting benchmark: b(x) = -theta*x, constant sigma, polynomial f.
+def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
+                   horizon: float) -> Problem:
+    """The affine benchmark of ``model`` with polynomial payoff ``f_poly``.
 
-    theta = 0 gives driftless Brownian motion.  All closed forms (u, terminal
-    expectation, marginals) follow from the Gaussian transition law.
+    Every coefficient and closed form derives from ``model``: with s1 = 0
+    the transition law is Gaussian and E f(X_T | X_t = x) is the payoff
+    pushed through it; otherwise it is lognormal (x0 > 0 required), and
+    E X_T^j given X_t = x equals x^j exp((j*b1 + j(j-1) s1^2/2) (T-t)).
+    Either way u stays polynomial in x.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     f_poly = tuple(float(c) for c in f_poly)
     if len(f_poly) > 5:
         raise ValueError("payoff degree above 4 is not representable in a Jet4")
-    b1 = -float(theta)
+    b1, s0, s1 = model.b1, model.s0, model.s1
 
-    def u_jet(t: float, x: float) -> Jet4:
-        scale, var = _ou_transition(b1, sigma, horizon - t)
-        return _poly_jet(_gaussian_poly_push(f_poly, scale, var), x)
+    if s1 == 0.0:
+        def sigma_jet(x, order: int = 4) -> Jet4:
+            return Jet4.constant(s0)
 
-    def exact_terminal() -> float:
-        scale, var = _ou_transition(b1, sigma, horizon)
-        return float(np.polynomial.polynomial.polyval(
-            x0, _gaussian_poly_push(f_poly, scale, var)))
+        def pushed(tau: float) -> tuple:
+            return _gaussian_poly_push(f_poly, *_ou_transition(b1, s0, tau))
+    else:
+        if x0 <= 0:
+            raise ValueError("proportional-diffusion problems need x0 > 0")
+
+        def sigma_jet(x, order: int = 4) -> Jet4:
+            return Jet4((s1 * x, s1, 0.0, 0.0, 0.0))
+
+        def pushed(tau: float) -> tuple:
+            return tuple(c * math.exp((j * b1 + 0.5 * j * (j - 1) * s1**2) * tau)
+                         for j, c in enumerate(f_poly))
 
     return Problem(
         name=name,
@@ -203,60 +203,34 @@ def ou_family_problem(
         horizon=float(horizon),
         lip_b=abs(b1),
         b_jet=lambda x, order=4: Jet4((b1 * x, b1, 0.0, 0.0, 0.0)),
-        sigma_jet=lambda x, order=4: Jet4.constant(sigma),
+        sigma_jet=sigma_jet,
         f=lambda x: np.polynomial.polynomial.polyval(x, f_poly),
-        u_jet=u_jet,
-        exact_terminal=exact_terminal,
+        u_jet=lambda t, x: _poly_jet(pushed(horizon - t), x),
+        exact_terminal=lambda: float(np.polynomial.polynomial.polyval(x0, pushed(horizon))),
         f_poly=f_poly,
-        affine=AffineModel(b1=b1, s0=float(sigma), s1=0.0),
+        affine=model,
     )
 
 
-def gbm_family_problem(
-    name: str,
-    mu: float,
-    s: float,
-    f_poly,
-    x0: float,
-    horizon: float,
-) -> Problem:
-    """Proportional benchmark: b(x) = mu*x, sigma(x) = s*x, polynomial f.
+def ou_family_problem(name: str, theta: float, sigma: float, f_poly, x0: float,
+                      horizon: float) -> Problem:
+    """Mean-reverting benchmark: b(x) = -theta*x, constant sigma, polynomial f.
 
-    Requires x0 > 0 (lognormal marginals).  E X_T^j given X_t = x equals
-    x^j exp((j*mu + j(j-1) s^2/2) (T-t)), so u stays polynomial in x.
+    theta = 0 gives driftless Brownian motion.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return affine_problem(name, AffineModel(b1=-float(theta), s0=float(sigma), s1=0.0),
+                          f_poly, x0, horizon)
+
+
+def gbm_family_problem(name: str, mu: float, s: float, f_poly, x0: float,
+                       horizon: float) -> Problem:
+    """Proportional benchmark: b(x) = mu*x, sigma(x) = s*x, polynomial f."""
     if s <= 0:
         raise ValueError("s must be positive")
-    if x0 <= 0:
-        raise ValueError("proportional-diffusion problems need x0 > 0")
-    f_poly = tuple(float(c) for c in f_poly)
-    if len(f_poly) > 5:
-        raise ValueError("payoff degree above 4 is not representable in a Jet4")
-    mu = float(mu)
-    s = float(s)
-
-    def _pushed(tau: float) -> tuple:
-        return tuple(
-            c * math.exp((j * mu + 0.5 * j * (j - 1) * s**2) * tau)
-            for j, c in enumerate(f_poly)
-        )
-
-    return Problem(
-        name=name,
-        x0=float(x0),
-        horizon=float(horizon),
-        lip_b=abs(mu),
-        b_jet=lambda x, order=4: Jet4((mu * x, mu, 0.0, 0.0, 0.0)),
-        sigma_jet=lambda x, order=4: Jet4((s * x, s, 0.0, 0.0, 0.0)),
-        f=lambda x: np.polynomial.polynomial.polyval(x, f_poly),
-        u_jet=lambda t, x: _poly_jet(_pushed(horizon - t), x),
-        exact_terminal=lambda: float(
-            np.polynomial.polynomial.polyval(x0, _pushed(horizon))),
-        f_poly=f_poly,
-        affine=AffineModel(b1=mu, s0=0.0, s1=s),
-    )
+    return affine_problem(name, AffineModel(b1=float(mu), s0=0.0, s1=float(s)),
+                          f_poly, x0, horizon)
 
 
 def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,

@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from .expansion import LeadingConstant
-from .montecarlo import RichardsonPoint, WeakErrorReport
-from .rates import ExpansionTable, RateFit
+from .montecarlo import LevelEstimate, RichardsonPoint, WeakErrorReport
+from .rates import ExpansionRow, ExpansionTable, RateFit
 
 FORMATS = ("json", "csv", "svg")
 
@@ -27,76 +27,56 @@ def _rate_fit_dict(fit: RateFit) -> dict:
             "points": [list(pt) for pt in fit.points]}
 
 
-def _json_payload(report):
+def _table(row_type, items) -> tuple:
+    """csv (header, rows) of dataclass rows, one column per field."""
+    return [f.name for f in fields(row_type)], [astuple(r) for r in items]
+
+
+def _records(table) -> list:
+    """The rows of a csv table as json objects keyed by its header."""
+    header, rows = table
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _views(report):
+    """(json payload, csv (header, rows) or None, svg (title, series, fit) or None).
+
+    The svg series is [(label, [(h, |err|), ...]), ...].  This is the one
+    place that knows the report types; a None view is a format the type lacks.
+    """
     if isinstance(report, WeakErrorReport):
-        return {
-            "problem": report.problem,
-            "scheme": report.scheme,
-            "reference": report.reference,
-            "reference_source": report.reference_source,
-            "levels": [
-                {"n_steps": lv.n_steps, "h": lv.h, "estimate": lv.estimate,
-                 "stderr": lv.stderr, "source": lv.source}
-                for lv in report.levels
-            ],
-        }
-    if isinstance(report, ExpansionTable):
-        return {
-            "problem": report.problem,
-            "psi_kind": report.psi_name,
-            "c1": asdict(report.c1),
-            "levels": [asdict(r) for r in report.rows],
-            "residual_fit": None if report.residual_fit is None
-            else _rate_fit_dict(report.residual_fit),
-        }
-    if isinstance(report, RateFit):
-        return _rate_fit_dict(report)
-    if isinstance(report, LeadingConstant):
-        return asdict(report)
-    if isinstance(report, list) and all(isinstance(r, RichardsonPoint) for r in report):
-        return {"points": [asdict(r) for r in report]}
-    if isinstance(report, dict):
-        return report
-    raise TypeError(f"cannot serialize report of type {type(report).__name__}")
-
-
-def _csv_table(report):
-    if isinstance(report, WeakErrorReport):
-        header = ["n_steps", "h", "estimate", "stderr", "source"]
-        rows = [[lv.n_steps, lv.h, lv.estimate, lv.stderr, lv.source]
-                for lv in report.levels]
-    elif isinstance(report, ExpansionTable):
-        header = ["n_steps", "h", "weak_err", "h_times_c1", "second_order_residual"]
-        rows = [[r.n_steps, r.h, r.weak_err, r.h_times_c1, r.second_order_residual]
-                for r in report.rows]
-    elif isinstance(report, RateFit):
-        header = ["h", "abs_err"]
-        rows = [[h, e] for h, e in report.points]
-    elif isinstance(report, list) and all(isinstance(r, RichardsonPoint) for r in report):
-        header = ["h", "extrapolated_error", "stderr"]
-        rows = [[r.h, r.extrapolated_error, r.stderr] for r in report]
-    else:
-        raise ValueError(f"a {type(report).__name__} report has no csv form")
-    return header, rows
-
-
-def _svg_series(report):
-    """(title, series, fit) where series is [(label, [(h, |err|), ...]), ...]."""
-    if isinstance(report, WeakErrorReport):
+        table = _table(LevelEstimate, report.levels)
+        payload = {"problem": report.problem, "scheme": report.scheme,
+                   "reference": report.reference,
+                   "reference_source": report.reference_source,
+                   "levels": _records(table)}
         pts = [(lv.h, abs(lv.estimate)) for lv in report.levels]
-        return f"{report.problem} / {report.scheme}", [("weak error", pts)], None
+        return payload, table, (f"{report.problem} / {report.scheme}",
+                                [("weak error", pts)], None)
     if isinstance(report, ExpansionTable):
+        rows, fit = report.rows, report.residual_fit
+        table = _table(ExpansionRow, rows)
+        payload = {"problem": report.problem, "psi_kind": report.psi_name,
+                   "c1": asdict(report.c1), "levels": _records(table),
+                   "residual_fit": None if fit is None else _rate_fit_dict(fit)}
         series = [
-            ("weak error", [(r.h, abs(r.weak_err)) for r in report.rows]),
-            ("residual", [(r.h, abs(r.second_order_residual)) for r in report.rows]),
+            ("weak error", [(r.h, abs(r.weak_err)) for r in rows]),
+            ("residual", [(r.h, abs(r.second_order_residual)) for r in rows]),
         ]
-        return f"{report.problem} / {report.psi_name}", series, report.residual_fit
+        return payload, table, (f"{report.problem} / {report.psi_name}", series, fit)
     if isinstance(report, RateFit):
-        return "rate fit", [("error", list(report.points))], report
+        return (_rate_fit_dict(report), (["h", "abs_err"], report.points),
+                ("rate fit", [("error", list(report.points))], report))
+    if isinstance(report, LeadingConstant):
+        return asdict(report), None, None
     if isinstance(report, list) and all(isinstance(r, RichardsonPoint) for r in report):
+        table = _table(RichardsonPoint, report)
         pts = [(r.h, abs(r.extrapolated_error)) for r in report]
-        return "richardson", [("extrapolated error", pts)], None
-    raise ValueError(f"a {type(report).__name__} report has no svg form")
+        return ({"points": _records(table)}, table,
+                ("richardson", [("extrapolated error", pts)], None))
+    if isinstance(report, dict):
+        return report, None, None
+    raise TypeError(f"cannot serialize report of type {type(report).__name__}")
 
 
 def _render_svg(title, series, fit) -> str:
@@ -182,7 +162,7 @@ def render(report, format: str) -> str:
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    payload = _json_payload(report)
+    payload, table, plot = _views(report)
     try:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -190,15 +170,18 @@ def render(report, format: str) -> str:
             f"{type(report).__name__} holds a non-finite value") from None
     if format == "json":
         return text
-    if format == "csv":
-        header, rows = _csv_table(report)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-        return buf.getvalue()
-    return _render_svg(*_svg_series(report))
+    view = table if format == "csv" else plot
+    if view is None:
+        raise ValueError(f"a {type(report).__name__} report has no {format} form")
+    if format == "svg":
+        return _render_svg(*view)
+    header, rows = view
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def emit_report(report, format: str, path) -> None:

@@ -188,7 +188,8 @@ def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False
         try:
             x = _step(p, cfg, h, x, increments[:, k])
         except NoConvergence as err:
-            raise NoConvergence(f"step {k}: {err}", step_index=k) from err
+            raise NoConvergence(f"step {k}: {err}", step_index=k,
+                                path_index=err.path_index) from err
         if keep_path:
             path[:, k + 1] = x
     return path if keep_path else x

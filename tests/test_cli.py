@@ -81,6 +81,27 @@ class TestC1AndPsi:
                                "--h", "0.05", "--grid", "2x2")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+    def test_psi_ih_needs_finite_h(self, capsys, h):
+        code, out, err = run_cli(capsys, "psi", "--problem", "ou", "--kind", "psi_ih",
+                                 f"--h={h}", "--grid", "2x2")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "finite h > 0" in err
+
+    def test_non_finite_psi_table_is_not_written(self, capsys, tmp_path):
+        # u's quartic coefficient is about 4e300, so psi overflows at t = 0
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text("mu = 0.05\ns = 10\nf_poly = 0,0,0,0,1e40\n")
+        path = tmp_path / "psi.csv"
+        for out_args in ((), ("--out", str(path))):
+            code, out, err = run_cli(capsys, "psi", "--config", str(cfg), "--grid", "3x3",
+                                     *out_args)
+            assert code == EXIT_NUMERICAL
+            assert out == ""
+            assert err.startswith("weakerr: numerical failure: psi on problem 'custom': ")
+        assert not path.exists()
+
     def test_psi_unavailable_for_tanh(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--problem", "tanh")
         assert code == EXIT_CONFIG
@@ -138,6 +159,25 @@ class TestConvergeExpandRichardson:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         assert seen == ["newton", None]
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--n-steps", "8", "--solver", "newton"),
+        ("oracle", "--n-steps", "8", "--fp-max-iter", "5"),
+        ("converge", "--fp-tol", "1e-9"),
+        ("converge", "--solver", "fp"),
+        ("richardson", "--solver", "newton"),
+        ("richardson", "--estimator", "oracle", "--fp-tol", "1e-9"),
+        ("richardson", "--fp-max-iter", "5"),
+    ])
+    def test_solver_flags_refused_where_no_solver_runs(self, capsys, argv):
+        # argparse exits on a flag the subcommand lacks; richardson knows the
+        # flags but refuses them for the oracle estimator
+        try:
+            code = main([*argv, "--problem", "ou"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_bad_levels_string(self, capsys):
         code, _, err = run_cli(capsys, "converge", "--problem", "ou",
                                "--levels", "16,abc")
@@ -170,6 +210,14 @@ class TestMc:
                                "--fp-tol", "1e-16")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
+
+    def test_malformed_thread_count_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEAKERR_THREADS", "abc")
+        code, out, err = run_cli(capsys, "mc", "--problem", "ou", "--levels", "8",
+                                 "--paths", "200")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "WEAKERR_THREADS" in err
 
     def test_step_guard_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "mc", "--problem", "tanh", "--levels", "1",
@@ -320,6 +368,25 @@ f_poly = 0, 0, 1
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ValueError):
             parse_problem_config(text)
+
+    @pytest.mark.parametrize("text,key", [
+        ("theta = nan\n", "theta"),
+        ("theta = 1.0\nsigma = inf\n", "sigma"),
+        ("theta = 1.0\nhorizon = nan\n", "horizon"),
+        ("theta = 1.0\nx0 = -inf\n", "x0"),
+        ("mu = inf\n", "mu"),
+        ("mu = 0.05\ns = nan\n", "s"),
+        ("theta = 1.0\nf_poly = 0, nan, 1\n", "f_poly"),
+    ])
+    def test_non_finite_values_rejected(self, capsys, tmp_path, text, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_problem_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "c1", "--config", str(path), "--quad-nodes", "2")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"'{key}'" in err
 
     def test_bad_config_file_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"

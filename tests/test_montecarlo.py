@@ -81,6 +81,13 @@ class TestEstimateWeakError:
         threaded = estimate_weak_error(problems["ou"], mc, "implicit")
         assert render(serial, "json") == render(threaded, "json")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_malformed_thread_count_is_refused(self, problems, monkeypatch, value):
+        monkeypatch.setenv("WEAKERR_THREADS", value)
+        mc = McConfig(n_paths=1000, seed=0, finest_n=16, levels=(16,))
+        with pytest.raises(ValueError, match="WEAKERR_THREADS"):
+            estimate_weak_error(problems["ou"], mc, "implicit")
+
     def test_explicit_kind(self, problems):
         mc = McConfig(n_paths=50_000, seed=21, finest_n=32, levels=(32,))
         rep = estimate_weak_error(problems["ou"], mc, "explicit")
@@ -128,13 +135,30 @@ class TestEstimateWeakError:
         combined = math.sqrt(sum(variances)) / 50
         assert abs(np.mean(ests) - oracle) <= 4.0 * combined
 
-    def test_no_convergence_carries_context(self, problems):
-        mc = McConfig(n_paths=1000, seed=2, finest_n=512, levels=(64,))
+    def test_no_convergence_carries_context(self, monkeypatch):
+        # The drift vanishes on [-3, 3], where one fixed-point iteration is
+        # exact, so a path fails at the first step that leaves the band.  The
+        # states until then are the Brownian sums, which locate the failure.
+        def b_jet(x, order=4):
+            return we.Jet4((np.tanh(x - np.clip(x, -3.0, 3.0)), 0.0, 0.0, 0.0, 0.0),
+                           valid_order=0)
+
+        p = we.Problem(name="banded", x0=0.0, horizon=1.0, lip_b=1.0, b_jet=b_jet,
+                       sigma_jet=lambda x, order=4: we.Jet4.constant(1.0), f=np.cos,
+                       exact_terminal=lambda: 0.0)
+        monkeypatch.setattr("weakerr.montecarlo._BATCH", 100)
+        mc = McConfig(n_paths=1000, seed=4, finest_n=64, levels=(64,))
+        walks = np.cumsum(rng.gaussian_increments(4, np.arange(500, dtype=np.uint64),
+                                                  64, 1 / 64), axis=1)
+        steps = np.where(np.abs(walks) > 3.0, np.arange(64), 64).min(axis=1)
+        batch = np.flatnonzero(steps < 64)[0] // 100
+        rows = steps[100 * batch:100 * (batch + 1)]
+        assert batch > 0 and np.sum(rows == rows.min()) == 1
         with pytest.raises(we.NoConvergence) as exc:
-            estimate_weak_error(problems["tanh"], mc, "implicit",
-                                fp_tol=1e-16, fp_max_iter=1)
-        assert exc.value.step_index is not None
-        assert exc.value.path_index is not None
+            estimate_weak_error(p, mc, "implicit", fp_tol=1e-16, fp_max_iter=1)
+        assert exc.value.step_index == rows.min()
+        assert exc.value.path_index == 100 * batch + int(np.argmin(rows))
+        assert f"path {exc.value.path_index}: step {rows.min()}: " in str(exc.value)
 
 
 class TestCrnCoupling:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import weakerr as we
+from weakerr.cli import parse_problem_config
 from weakerr.problems import ou_family_problem
 
 
@@ -214,3 +215,106 @@ class TestBuilderValidation:
                               x0=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             we.tanh_problem(c=0.0)
+
+
+# Custom problems of each family, built the way ``--config`` builds them.
+CONFIGS = {
+    "cfg_ou": "name = cfg_ou\ntheta = 0.5\nsigma = 0.7\nx0 = 0.3\nhorizon = 2.0\n"
+              "f_poly = 1, -0.5, 0.25, 0.1, 0.05\n",
+    "cfg_gbm": "name = cfg_gbm\nmu = -0.1\ns = 0.3\nx0 = 1.5\nhorizon = 0.5\n"
+               "f_poly = 0.5, 1, 0, -0.2, 0.03\n",
+}
+
+
+@pytest.fixture(scope="module")
+def affine_problems(problems):
+    out = {name: problems[name] for name in ("bm", "ou", "gbm")}
+    out.update((name, parse_problem_config(text)) for name, text in CONFIGS.items())
+    return out
+
+
+class TestAffineBitsPinned:
+    # Float hex of exact_terminal(), weak_error_exact at N = 16 (implicit),
+    # and the five u_jet(0.3, x) slots at x = x0 - 1, x0 + 0.5, x0 + 2, as
+    # computed when each family built its own closures.
+    PINNED = {
+        'bm': (
+            '0x1.8000000000000p+1', '0x0.0p+0',
+            (
+                '0x1.aae147ae147adp+2 -0x1.8ccccccccccccp+3 0x1.4666666666666p+4'
+                ' -0x1.8000000000000p+4 0x1.8000000000000p+4',
+                '0x1.4a8f5c28f5c28p+1 0x1.2ccccccccccccp+2 0x1.6ccccccccccccp+3'
+                ' 0x1.8000000000000p+3 0x1.8000000000000p+4',
+                '0x1.1228f5c28f5c2p+5 0x1.8666666666666p+5 0x1.c333333333333p+5'
+                ' 0x1.8000000000000p+5 0x1.8000000000000p+4',
+            ),
+        ),
+        'ou': (
+            '0x1.22a555477f03ap-1', '-0x1.1fff15bb07900p-7',
+            (
+                '0x1.81be0af127e3bp-2 0x0.0p+0 0x1.f907d43b60715p-2'
+                ' 0x0.0p+0 0x0.0p+0',
+                '0x1.dcf36cd9fa31ap-1 0x1.7ac5df2c88550p-1 0x1.f907d43b60715p-2'
+                ' 0x0.0p+0 0x0.0p+0',
+                '0x1.4c4c28bf8b3c3p+1 0x1.7ac5df2c88550p+0 0x1.f907d43b60715p-2'
+                ' 0x0.0p+0 0x0.0p+0',
+            ),
+        ),
+        'gbm': (
+            '0x1.267857fb8997ep+0', '0x1.014ee8ace8000p-13',
+            (
+                '0x0.0p+0 0x0.0p+0 0x1.1a5bc4e2bf018p+1'
+                ' 0x0.0p+0 0x0.0p+0',
+                '0x1.3da73d7f16e1bp+1 0x1.a789a7541e824p+1 0x1.1a5bc4e2bf018p+1'
+                ' 0x0.0p+0 0x0.0p+0',
+                '0x1.3da73d7f16e1bp+3 0x1.a789a7541e824p+2 0x1.1a5bc4e2bf018p+1'
+                ' 0x0.0p+0 0x0.0p+0',
+            ),
+        ),
+        'cfg_ou': (
+            '0x1.18af9022b6e57p+0', '-0x1.02ab03a40f100p-7',
+            (
+                '0x1.44c87f3437f20p+0 -0x1.fb907a02e1f4bp-3 0x1.cbcd62db26ca9p-4'
+                ' 0x1.3445baa537ea3p-6 0x1.48129574be2ecp-5',
+                '0x1.0ad115873f0d3p+0 -0x1.24e8126b79050p-5 0x1.7bf8fe75635e6p-3'
+                ' 0x1.431f5ec0dc9dap-4 0x1.48129574be2ecp-5',
+                '0x1.400af223b41cap+0 0x1.6a4fddb30ed1ap-2 0x1.654adfc76f28dp-2'
+                ' 0x1.1c96a76c35a05p-3 0x1.48129574be2ecp-5',
+            ),
+        ),
+        'cfg_gbm': (
+            '0x1.6cbe6e85a2693p+0', '0x1.438a9bf2a8000p-14',
+            (
+                '0x1.ef31d738f1452p-1 0x1.b16b51ffa764fp-1 -0x1.01f94deef2f37p-1'
+                ' -0x1.a52bb5ea66896p-1 0x1.7b1b97cdfd760p-1',
+                '0x1.5d14cb1e9a6a3p+0 -0x1.ac38945533a0ap-2 -0x1.cf3bd406cf9ccp-1'
+                ' 0x1.26fb5b952b4f4p-2 0x1.7b1b97cdfd760p-1',
+                '0x1.2ca5c3d0c3080p-5 -0x1.08e48fa685268p+0 0x1.70ff76e19c070p-2'
+                ' 0x1.661388bfc8ec5p+0 0x1.7b1b97cdfd760p-1',
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS) + ["bm", "gbm", "ou"])
+    def test_closed_form_bits(self, affine_problems, name):
+        p = affine_problems[name]
+        terminal, weak16, u_slots = self.PINNED[name]
+        assert p.exact_terminal() == float.fromhex(terminal)
+        assert we.weak_error_exact(p, we.SchemeConfig(n_steps=16)) == float.fromhex(weak16)
+        for dx, slots in zip((-1.0, 0.5, 2.0), u_slots):
+            got = p.u_jet(0.3, p.x0 + dx).d
+            assert [float(v) for v in got] == [float.fromhex(s) for s in slots.split()]
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS) + ["bm", "gbm", "ou"])
+    def test_coefficients_follow_affine_model(self, affine_problems, name):
+        p = affine_problems[name]
+        a = p.affine
+        assert p.lip_b == abs(a.b1)
+        for x in (p.x0, np.linspace(p.x0 - 3.0, p.x0 + 3.0, 13)):
+            for jet, want in ((p.b_jet(x), (a.b1 * x, a.b1)),
+                              (p.sigma_jet(x), (a.s0 + a.s1 * x, a.s1))):
+                assert jet.valid_order == 4
+                for k in range(5):
+                    expect = want[k] if k < 2 else 0.0
+                    assert np.array_equal(np.broadcast_to(jet.deriv(k), np.shape(x)),
+                                          np.broadcast_to(expect, np.shape(x)))

@@ -193,6 +193,17 @@ class TestRunPath:
             run_path(problems["tanh"], cfg, [0.5, 0.5, 0.5, 0.5])
         assert exc.value.step_index == 0
 
+    def test_failure_reports_worst_path(self, problems):
+        p = problems["tanh"]
+        cfg = SchemeConfig(n_steps=2, fp_tol=1e-16, fp_max_iter=1)
+        incs = np.array([[0.1, 0.0], [-0.2, 0.0], [0.3, 0.0], [0.9, 0.0], [-0.4, 0.0]])
+        with pytest.raises(we.NoConvergence) as step:
+            we.implicit_step(p, cfg, 0.5, np.full(5, p.x0), incs[:, 0])
+        with pytest.raises(we.NoConvergence) as run:
+            we.run_paths(p, cfg, incs)
+        assert step.value.path_index == 3
+        assert (run.value.step_index, run.value.path_index) == (0, 3)
+
     def test_run_paths_matches_run_path(self, problems):
         p = problems["gbm"]
         cfg = SchemeConfig(n_steps=8)
