@@ -49,7 +49,6 @@ from .expansion import (
     psi_identity_residual,
     psi_ih_gap,
     psi_ih_kind,
-    riemann_psi_sum,
 )
 from .montecarlo import (
     LevelEstimate,
@@ -112,7 +111,6 @@ __all__ = [
     "psi_ih_gap",
     "psi_ih_kind",
     "richardson",
-    "riemann_psi_sum",
     "run_paths",
     "s_h",
     "tanh_problem",

@@ -36,6 +36,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _SOLVER_ALIASES = {"fp": "fixed_point", "newton": "newton", "affine": "closed_form_affine"}
+# The argparse destinations of the flags that only a Monte Carlo run reads.
+_MC_FLAGS = ("paths", "seed", "finest_n", "antithetic", "solver", "fp_tol", "fp_max_iter")
 
 _CONFIG_KEYS = ("name", "x0", "horizon", "theta", "sigma", "mu", "s", "f_poly")
 
@@ -71,10 +73,6 @@ def parse_problem_config(text: str) -> Problem:
         params = {k: float(v) for k, v in entries.items()}
     except ValueError as err:
         raise ValueError(f"config value does not parse as a number: {err}") from None
-    for key, values in (("x0", [x0]), ("horizon", [horizon]), ("f_poly", f_poly),
-                        *((k, [v]) for k, v in params.items())):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"config key {key!r} must be finite")
 
     if "theta" in params:
         if "mu" in params:
@@ -142,13 +140,19 @@ def _solver_flags(args) -> dict:
 
 
 def _mc_report(args, p: Problem, levels: tuple):
-    """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``."""
+    """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``.
+
+    A sampling flag left out means 1 000 000 antithetic paths from seed 0,
+    on a finest grid of the largest level (times the surrogate margin when
+    the problem has no exact reference).
+    """
     finest = args.finest_n
     if finest is None:
         finest = (max(levels) if p.exact_terminal is not None
                   else SURROGATE_MARGIN * max(levels))
-    mc = McConfig(n_paths=args.paths, seed=args.seed, finest_n=finest,
-                  levels=levels, antithetic=args.antithetic)
+    mc = McConfig(n_paths=1_000_000 if args.paths is None else args.paths,
+                  seed=0 if args.seed is None else args.seed, finest_n=finest,
+                  levels=levels, antithetic=args.antithetic is not False)
     return estimate_weak_error(p, mc, args.scheme, **_solver_flags(args))
 
 
@@ -157,8 +161,6 @@ def _cmd_mc(args, p: Problem) -> None:
 
 
 def _cmd_psi(args, p: Problem) -> None:
-    if p.u_jet is None:
-        raise ValueError(f"problem {p.name!r} has no closed-form u; psi is unavailable")
     if args.format not in (None, "csv"):
         raise ValueError("the psi table is emitted as csv only")
     kind = PsiKind(args.kind, h=args.h)
@@ -166,6 +168,8 @@ def _cmd_psi(args, p: Problem) -> None:
         nt, nx = (int(tok) for tok in args.grid.lower().split("x"))
     except ValueError:
         raise ValueError(f"--grid must look like 20x20, got {args.grid!r}") from None
+    if nt < 1 or nx < 1:
+        raise ValueError(f"--grid needs at least 1x1 points, got {args.grid!r}")
     ts = np.linspace(0.0, p.horizon - 1e-3, nt)
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
     rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
@@ -194,8 +198,10 @@ def _cmd_expand(args, p: Problem) -> None:
 def _cmd_richardson(args, p: Problem) -> None:
     levels = _parse_levels(args.levels)
     if args.estimator == "oracle":
-        if _solver_flags(args):
-            raise ValueError("--solver, --fp-tol and --fp-max-iter need --estimator mc")
+        given = [f"--{dest.replace('_', '-')}" for dest in _MC_FLAGS
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"only --estimator mc reads {', '.join(given)}")
         report = oracle_report(p, args.scheme, levels)
     else:
         report = _mc_report(args, p, levels)
@@ -215,14 +221,15 @@ def _add_common(sub, scheme: bool = True) -> None:
 def _add_mc(sub) -> None:
     """Sampling and solver flags of the subcommands that run :func:`_mc_report`.
 
-    A solver flag left out keeps :func:`estimate_weak_error`'s default; without
-    ``--solver`` the implicit steps pick closed form for affine drifts, fixed
-    point otherwise.
+    Every flag defaults to None, so that a flag left out can be told from one
+    given: :func:`_mc_report` fills in the sampling defaults, and a solver
+    flag left out keeps the library default; without ``--solver`` the
+    implicit steps pick closed form for affine drifts, fixed point otherwise.
     """
-    sub.add_argument("--paths", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--finest-n", type=int, default=None)
-    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
+    sub.add_argument("--paths", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--finest-n", type=int)
+    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction)
     sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES))
     sub.add_argument("--fp-tol", type=float)
     sub.add_argument("--fp-max-iter", type=int)

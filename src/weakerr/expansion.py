@@ -236,13 +236,9 @@ def psi_at(p: Problem, kind: PsiKind, t: float, x):
 def expect_psi(p: Problem, kind: PsiKind, t: float) -> float:
     """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite."""
     law = marginal_law(p, t)
-    if law.family == "dirac" or law.variance == 0.0:
-        return float(psi_at(p, kind, t, law.mean))
-    sd = np.sqrt(law.variance)
-    if law.family == "gaussian":
-        xs = law.mean + sd * _GH_Z
-    else:
-        xs = np.exp(law.mean + sd * _GH_Z)
+    xs = law.mean + np.sqrt(law.variance) * _GH_Z
+    if law.family == "lognormal":
+        xs = np.exp(xs)
     # The builtin sum adds the weighted nodes left to right, as a loop over
     # scalar nodes would; np.sum adds pairwise and would change the bits.
     return float(sum(_GH_W * psi_at(p, kind, t, xs)))
@@ -264,12 +260,9 @@ def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> Leading
 
     ``quad_nodes`` counts Gauss-Legendre panels in time (8 points each); the
     inner spatial expectation uses 64 Gauss-Hermite nodes.  The error estimate
-    is the change under panel doubling.
+    is the change under panel doubling.  A problem without a closed-form law
+    or u fails at the first node, with :func:`marginal_law`'s ``ValueError``.
     """
-    if p.u_jet is None:
-        raise ValueError(f"problem {p.name!r} has no closed-form u")
-    if p.affine is None:
-        raise ValueError(f"problem {p.name!r} has no closed-form marginal law")
     if quad_nodes < 1:
         raise ValueError("quad_nodes must be positive")
     value = _time_integral(p, kind, quad_nodes)
@@ -277,16 +270,3 @@ def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> Leading
     return LeadingConstant(value=value, quad_nodes=quad_nodes,
                            abs_err_est=abs(refined - value))
 
-
-def riemann_psi_sum(p: Problem, kind: PsiKind, n_steps: int) -> float:
-    """Left-endpoint Riemann sum h * sum_k E psi(t_k, X_{t_k}).
-
-    Approaches the leading constant at rate O(h); the k = 0 term uses the
-    dirac marginal at the initial condition.
-    """
-    if p.u_jet is None:
-        raise ValueError(f"problem {p.name!r} has no closed-form u")
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    h = p.horizon / n_steps
-    return h * sum(expect_psi(p, kind, k * h) for k in range(n_steps))

@@ -133,13 +133,13 @@ def _n_workers() -> int:
 
 
 def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
-                        fp_tol: float = 1e-12, fp_max_iter: int = 100,
-                        solver: Optional[str] = None) -> WeakErrorReport:
+                        solver: Optional[str] = None, **settings) -> WeakErrorReport:
     """Monte Carlo weak errors E f(X^N_T) - reference on all coupled levels.
 
     ``kind`` selects the scheme; implicit steps use ``solver`` (closed form
-    for affine drifts unless overridden).  With antithetic sampling the
-    statistical unit is the (+dW, -dW) pair.
+    for affine drifts unless overridden) with the :class:`SchemeConfig`
+    ``settings`` given (``fp_tol``, ``fp_max_iter``).  With antithetic
+    sampling the statistical unit is the (+dW, -dW) pair.
     """
     if solver is None:
         solver = "closed_form_affine" if p.affine is not None else "fixed_point"
@@ -153,8 +153,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                 f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {mc.finest_n}")
         sim_levels += [mc.finest_n // 2, mc.finest_n]
 
-    configs = [SchemeConfig(n_steps=n, kind=kind, fp_tol=fp_tol,
-                            fp_max_iter=fp_max_iter, solver=solver)
+    configs = [SchemeConfig(n_steps=n, kind=kind, solver=solver, **settings)
                for n in sim_levels]
     n_units = mc.n_paths // 2 if mc.antithetic else mc.n_paths
     h_fine = p.horizon / mc.finest_n

@@ -34,7 +34,14 @@ import numpy as np
 
 from .jets import Jet4
 
-MARGINAL_FAMILIES = ("gaussian", "lognormal", "dirac")
+MARGINAL_FAMILIES = ("gaussian", "lognormal")
+
+
+def _require_finite(**params) -> None:
+    """Refuse a NaN or infinite parameter (or payoff coefficient), naming it."""
+    for key, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class MarginalLaw:
 
     For the gaussian family ``mean``/``variance`` are the moments of X_t
     itself; for the lognormal family they are the mean and variance of
-    log X_t.  A dirac law has variance 0 and mass at ``mean``.
+    log X_t.  At t = 0 the variance is 0: all mass sits at x0.
     """
 
     mean: float
@@ -55,8 +62,6 @@ class MarginalLaw:
             raise ValueError(f"unknown marginal family {self.family!r}")
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
-        if self.family == "dirac" and self.variance != 0.0:
-            raise ValueError("a dirac law has zero variance")
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,7 @@ class AffineModel:
     s1: float
 
     def __post_init__(self):
+        _require_finite(b1=self.b1, s0=self.s0, s1=self.s1)
         if self.s0 != 0.0 and self.s1 != 0.0:
             raise ValueError("diffusion must be either constant or proportional, not mixed")
         if self.s0 == 0.0 and self.s1 == 0.0:
@@ -173,9 +179,10 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
     E X_T^j given X_t = x equals x^j exp((j*b1 + j(j-1) s1^2/2) (T-t)).
     Either way u stays polynomial in x.
     """
+    f_poly = tuple(float(c) for c in f_poly)
+    _require_finite(f_poly=f_poly, x0=x0, horizon=horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    f_poly = tuple(float(c) for c in f_poly)
     if len(f_poly) > 5:
         raise ValueError("payoff degree above 4 is not representable in a Jet4")
     b1, s0, s1 = model.b1, model.s0, model.s1
@@ -218,6 +225,7 @@ def ou_family_problem(name: str, theta: float, sigma: float, f_poly, x0: float,
 
     theta = 0 gives driftless Brownian motion.
     """
+    _require_finite(theta=theta, sigma=sigma)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return affine_problem(name, AffineModel(b1=-float(theta), s0=float(sigma), s1=0.0),
@@ -227,6 +235,7 @@ def ou_family_problem(name: str, theta: float, sigma: float, f_poly, x0: float,
 def gbm_family_problem(name: str, mu: float, s: float, f_poly, x0: float,
                        horizon: float) -> Problem:
     """Proportional benchmark: b(x) = mu*x, sigma(x) = s*x, polynomial f."""
+    _require_finite(mu=mu, s=s)
     if s <= 0:
         raise ValueError("s must be positive")
     return affine_problem(name, AffineModel(b1=float(mu), s0=0.0, s1=float(s)),
@@ -239,6 +248,7 @@ def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,
 
     b(x) = tanh(x), sigma(x) = c*sqrt(1+x^2), f(x) = cos(x).  sup|b'| = 1.
     """
+    _require_finite(c=c, x0=x0, horizon=horizon)
     if c <= 0:
         raise ValueError("c must be positive")
 
@@ -320,13 +330,11 @@ def kolmogorov_residual(p: Problem, t: float, x: float, dt_step: float) -> float
 
 
 def marginal_law(p: Problem, t: float) -> MarginalLaw:
-    """Exact law of X_t for the affine benchmarks; dirac at t = 0."""
+    """Exact law of X_t for the affine benchmarks."""
     if p.affine is None:
         raise ValueError(f"problem {p.name!r} has no closed-form marginal law")
     if not 0.0 <= t <= p.horizon:
         raise ValueError("need 0 <= t <= horizon")
-    if t == 0.0:
-        return MarginalLaw(mean=p.x0, variance=0.0, family="dirac")
     a = p.affine
     if a.s1 == 0.0:
         scale, var = _ou_transition(a.b1, a.s0, t)

@@ -15,6 +15,7 @@ path ensembles advance in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ class SchemeConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
+        if not 0 < self.fp_tol < math.inf:
+            raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol!r}")
         if self.fp_max_iter < 1:
             raise ValueError("fp_max_iter must be a positive integer")
 

@@ -106,6 +106,12 @@ class TestC1AndPsi:
         code, _, err = run_cli(capsys, "psi", "--problem", "tanh")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", ["0x3", "3x0", "-1x2"])
+    def test_psi_grid_must_be_nonempty(self, capsys, grid):
+        code, out, err = run_cli(capsys, "psi", "--problem", "ou", f"--grid={grid}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and "--grid" in err
+
     def test_psi_is_csv_only(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--problem", "ou",
                                "--format", "json")
@@ -167,6 +173,12 @@ class TestConvergeExpandRichardson:
         ("richardson", "--solver", "newton"),
         ("richardson", "--estimator", "oracle", "--fp-tol", "1e-9"),
         ("richardson", "--fp-max-iter", "5"),
+        ("richardson", "--paths", "7"),
+        ("richardson", "--no-antithetic"),
+        ("richardson", "--antithetic"),
+        ("richardson", "--seed", "5"),
+        ("richardson", "--finest-n", "64"),
+        ("richardson", "--paths", "7", "--no-antithetic", "--seed", "5"),
     ])
     def test_solver_flags_refused_where_no_solver_runs(self, capsys, argv):
         # argparse exits on a flag the subcommand lacks; richardson knows the
@@ -177,6 +189,27 @@ class TestConvergeExpandRichardson:
             code = exc.code
         assert code == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    def test_oracle_refusal_names_the_flags(self, capsys):
+        code, out, err = run_cli(capsys, "richardson", "--problem", "ou", "--paths", "7",
+                                 "--no-antithetic", "--solver", "fp")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1
+        assert all(flag in err for flag in ("--paths", "--antithetic", "--solver"))
+
+    def test_sampling_defaults(self, capsys, monkeypatch):
+        # left out, the sampling flags keep 1 000 000 antithetic paths from seed 0
+        seen = []
+
+        def spy(p, mc, kind, **solver):
+            seen.append(mc)
+            return we.oracle_report(p, kind, mc.levels)
+
+        monkeypatch.setattr("weakerr.cli.estimate_weak_error", spy)
+        assert run_cli(capsys, "richardson", "--problem", "ou", "--levels", "8,16",
+                       "--estimator", "mc")[0] == EXIT_OK
+        assert run_cli(capsys, "mc", "--problem", "ou", "--levels", "8,16")[0] == EXIT_OK
+        assert [(mc.n_paths, mc.seed, mc.antithetic) for mc in seen] == [(1_000_000, 0, True)] * 2
 
     def test_bad_levels_string(self, capsys):
         code, _, err = run_cli(capsys, "converge", "--problem", "ou",
@@ -210,6 +243,15 @@ class TestMc:
                                "--fp-tol", "1e-16")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_fp_tol_refused(self, capsys, tol):
+        # inf would stop after one fixed-point iteration, nan would never stop
+        code, out, err = run_cli(capsys, "mc", "--problem", "tanh", "--levels", "8,16",
+                                 "--paths", "200", "--seed", "1", "--solver", "fp",
+                                 "--fp-tol", tol)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and "fp_tol" in err
 
     def test_malformed_thread_count_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WEAKERR_THREADS", "abc")

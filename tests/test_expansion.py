@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import weakerr as we
 from weakerr.expansion import (_GH_Z, PSI_E, PSI_I, PsiKind, eval_psi, eval_psi_i_expanded,
                                expect_psi, leading_constant, psi_at,
-                               psi_identity_residual, psi_ih_gap, psi_ih_kind,
-                               riemann_psi_sum)
+                               psi_identity_residual, psi_ih_gap, psi_ih_kind)
 from weakerr.jets import InsufficientJetOrder, Jet4
 
 entries = st.floats(min_value=-2.0, max_value=2.0)
@@ -259,23 +258,6 @@ class TestLeadingConstant:
 
 
 class TestRiemannSum:
-    def test_bm_sum_is_zero(self, problems):
-        for n in (1, 7, 32):
-            assert riemann_psi_sum(problems["bm"], PSI_I, n) == pytest.approx(0.0,
-                                                                              abs=1e-13)
-
-    def test_single_step_is_dirac_value(self, problems):
-        p = problems["ou"]
-        expected = p.horizon * psi_at(p, PSI_I, 0.0, p.x0)
-        assert riemann_psi_sum(p, PSI_I, 1) == pytest.approx(expected, rel=1e-13)
-
-    def test_gap_to_constant_halves(self, problems):
-        p = problems["ou"]
-        c1 = leading_constant(p, PSI_I, quad_nodes=32).value
-        gaps = [abs(riemann_psi_sum(p, PSI_I, n) - c1) for n in (16, 32, 64)]
-        assert gaps[1] == pytest.approx(gaps[0] / 2, rel=0.15)
-        assert gaps[2] == pytest.approx(gaps[1] / 2, rel=0.15)
-
     def test_expect_psi_dirac_at_time_zero(self, problems):
         p = problems["ou"]
         assert expect_psi(p, PSI_I, 0.0) == pytest.approx(psi_at(p, PSI_I, 0.0, p.x0),

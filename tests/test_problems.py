@@ -96,9 +96,12 @@ class TestKolmogorovResidual:
 
 class TestMarginalLaw:
     def test_t_zero_is_dirac(self, problems):
-        law = we.marginal_law(problems["ou"], 0.0)
-        assert law.family == "dirac"
-        assert (law.mean, law.variance) == (1.0, 0.0)
+        # all mass at x0, in the problem's own family: variance 0
+        for name, family, moments in (("ou", "gaussian", (1.0, 0.0)),
+                                      ("gbm", "lognormal", (0.0, 0.0))):
+            law = we.marginal_law(problems[name], 0.0)
+            assert law.family == family
+            assert (law.mean, law.variance) == moments
 
     def test_bm_is_standard_gaussian_at_one(self, problems):
         law = we.marginal_law(problems["bm"], 1.0)
@@ -198,6 +201,18 @@ class TestCoefficientJets:
             assert max(slopes) <= p.lip_b + 1e-12
 
 
+# Valid keyword arguments of each builder, to spoil one at a time.
+BUILDER_ARGS = {
+    we.ou_family_problem: dict(theta=1.0, sigma=1.0, f_poly=(0.0, 0.0, 1.0), x0=1.0,
+                               horizon=1.0),
+    we.gbm_family_problem: dict(mu=0.05, s=0.2, f_poly=(0.0, 0.0, 1.0), x0=1.0,
+                                horizon=1.0),
+    we.affine_problem: dict(model=we.AffineModel(b1=-1.0, s0=1.0, s1=0.0),
+                            f_poly=(0.0, 0.0, 1.0), x0=1.0, horizon=1.0),
+    we.tanh_problem: dict(c=0.25, x0=0.4, horizon=1.0),
+}
+
+
 class TestBuilderValidation:
     def test_gbm_needs_positive_x0(self):
         with pytest.raises(ValueError):
@@ -215,6 +230,21 @@ class TestBuilderValidation:
                               x0=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             we.tanh_problem(c=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build,key", [(b, k) for b, args in BUILDER_ARGS.items()
+                                           for k in args if k != "model"],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_non_finite_parameters_refused(self, build, key, bad):
+        kwargs = {**BUILDER_ARGS[build], key: (0.0, bad, 1.0) if key == "f_poly" else bad}
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            build("x", **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["b1", "s0", "s1"])
+    def test_affine_model_refuses_non_finite(self, key, bad):
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            we.AffineModel(**{"b1": 0.1, "s0": 1.0, "s1": 0.0, key: bad})
 
 
 # Custom problems of each family, built the way ``--config`` builds them.

@@ -262,8 +262,9 @@ class TestSchemeConfig:
             SchemeConfig(n_steps=4, kind="midpoint")
         with pytest.raises(ValueError):
             SchemeConfig(n_steps=4, solver="bisect")
-        with pytest.raises(ValueError):
-            SchemeConfig(n_steps=4, fp_tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SchemeConfig(n_steps=4, fp_tol=tol)
 
     def test_step_guard_constant(self, problems):
         # h * lip_b = 0.5 is allowed, anything beyond is not
