@@ -37,7 +37,7 @@ from .schemes import (
     run_paths,
     s_h,
 )
-from .moments_oracle import MomentVector, propagate_moments, weak_error_exact
+from .moments_oracle import propagate_moments, weak_error_exact
 from .expansion import (
     PSI_E,
     PSI_I,
@@ -72,7 +72,6 @@ __all__ = [
     "LevelEstimate",
     "MarginalLaw",
     "McConfig",
-    "MomentVector",
     "NoConvergence",
     "PSI_E",
     "PSI_I",

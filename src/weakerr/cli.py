@@ -21,13 +21,12 @@ import numpy as np
 
 from .expansion import PSI_NAMES, PsiKind, leading_constant, psi_at
 from .jets import InsufficientJetOrder
-from .montecarlo import (SURROGATE_MARGIN, McConfig, estimate_weak_error, oracle_report,
-                         richardson)
+from .montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
 from .moments_oracle import weak_error_exact
 from .problems import Problem, gbm_family_problem, get_problem, ou_family_problem
 from .rates import TooFewPoints, expansion_check, fit_rate
 from .reports import FORMATS, render
-from .schemes import NoConvergence, SchemeConfig
+from .schemes import KINDS, NoConvergence, SchemeConfig
 from . import __version__
 
 EXIT_OK = 0
@@ -132,28 +131,23 @@ def _cmd_oracle(args, p: Problem) -> None:
               "h": p.horizon / cfg.n_steps, "weak_error": we}, args)
 
 
-def _solver_flags(args) -> dict:
-    """The implicit-solver settings given on the command line, by keyword."""
-    given = {"solver": _SOLVER_ALIASES.get(args.solver), "fp_tol": args.fp_tol,
-             "fp_max_iter": args.fp_max_iter}
-    return {k: v for k, v in given.items() if v is not None}
+def _given(**flags) -> dict:
+    """The flags given on the command line; argparse leaves the others None."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _mc_report(args, p: Problem, levels: tuple):
     """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``.
 
-    A sampling flag left out means 1 000 000 antithetic paths from seed 0,
-    on a finest grid of the largest level (times the surrogate margin when
-    the problem has no exact reference).
+    Only the flags given are passed on: a sampling flag left out keeps the
+    :class:`McConfig` default, a solver flag the library default.
     """
-    finest = args.finest_n
-    if finest is None:
-        finest = (max(levels) if p.exact_terminal is not None
-                  else SURROGATE_MARGIN * max(levels))
-    mc = McConfig(n_paths=1_000_000 if args.paths is None else args.paths,
-                  seed=0 if args.seed is None else args.seed, finest_n=finest,
-                  levels=levels, antithetic=args.antithetic is not False)
-    return estimate_weak_error(p, mc, args.scheme, **_solver_flags(args))
+    mc = McConfig(levels=levels, **_given(n_paths=args.paths, seed=args.seed,
+                                          finest_n=args.finest_n,
+                                          antithetic=args.antithetic))
+    solver = _given(solver=_SOLVER_ALIASES.get(args.solver), fp_tol=args.fp_tol,
+                    fp_max_iter=args.fp_max_iter)
+    return estimate_weak_error(p, mc, args.scheme, **solver)
 
 
 def _cmd_mc(args, p: Problem) -> None:
@@ -170,7 +164,7 @@ def _cmd_psi(args, p: Problem) -> None:
         raise ValueError(f"--grid must look like 20x20, got {args.grid!r}") from None
     if nt < 1 or nx < 1:
         raise ValueError(f"--grid needs at least 1x1 points, got {args.grid!r}")
-    ts = np.linspace(0.0, p.horizon - 1e-3, nt)
+    ts = np.linspace(0.0, p.horizon * (1 - 1e-3), nt)
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
     rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
     if not all(math.isfinite(v) for _, _, v in rows):
@@ -215,16 +209,16 @@ def _add_common(sub, scheme: bool = True) -> None:
     sub.add_argument("--format", choices=FORMATS,
                      help="output format (default json; psi emits csv)")
     if scheme:
-        sub.add_argument("--scheme", choices=("explicit", "implicit"), default="implicit")
+        sub.add_argument("--scheme", choices=KINDS, default="implicit")
 
 
 def _add_mc(sub) -> None:
     """Sampling and solver flags of the subcommands that run :func:`_mc_report`.
 
     Every flag defaults to None, so that a flag left out can be told from one
-    given: :func:`_mc_report` fills in the sampling defaults, and a solver
-    flag left out keeps the library default; without ``--solver`` the
-    implicit steps pick closed form for affine drifts, fixed point otherwise.
+    given and keeps the library default: :class:`McConfig` holds the
+    sampling defaults, and without ``--solver`` the implicit steps pick
+    closed form for affine drifts, fixed point otherwise.
     """
     sub.add_argument("--paths", type=int)
     sub.add_argument("--seed", type=int)

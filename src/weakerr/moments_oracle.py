@@ -15,24 +15,11 @@ Carlo noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .problems import Problem
-from .schemes import SchemeConfig, check_step_size
+from .schemes import SchemeConfig, check_step_size, resolvent_den
 
 MAX_ORDER = 8
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """m[j] = E (X^N_{t_k})^j for j = 0..order (m[0] = 1)."""
-
-    m: tuple
-    order: int
-
-    def __post_init__(self):
-        if len(self.m) != self.order + 1:
-            raise ValueError("moment vector length must be order + 1")
 
 
 def step_coefficients(p: Problem, cfg: SchemeConfig, h: float) -> tuple:
@@ -46,7 +33,7 @@ def step_coefficients(p: Problem, cfg: SchemeConfig, h: float) -> tuple:
     a = p.affine
     if cfg.kind == "explicit":
         return 1.0 + a.b1 * h, a.s1, a.s0
-    den = 1.0 - a.b1 * h
+    den = resolvent_den(a.b1, h)
     return 1.0 / den, a.s1 / den, a.s0 / den
 
 
@@ -78,8 +65,8 @@ def _transfer_matrix(alpha, beta, gamma, h, order):
     return T
 
 
-def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> MomentVector:
-    """Exact moments of X^N_{t_N} for an affine benchmark.
+def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> tuple:
+    """Exact moments E (X^N_{t_N})^j, j = 0..order, of an affine benchmark.
 
     Requires order <= 8 and, for weak-error use, a polynomial payoff of degree
     at most ``order``.
@@ -91,7 +78,7 @@ def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> MomentVector
     m = [p.x0**j for j in range(order + 1)]
     for _ in range(cfg.n_steps):
         m = [sum(T[j][i] * m[i] for i in range(j + 1)) for j in range(order + 1)]
-    return MomentVector(m=tuple(m), order=order)
+    return tuple(m)
 
 
 def weak_error_exact(p: Problem, cfg: SchemeConfig) -> float:
@@ -107,6 +94,6 @@ def weak_error_exact(p: Problem, cfg: SchemeConfig) -> float:
     degree = len(p.f_poly) - 1
     while degree > 0 and p.f_poly[degree] == 0.0:
         degree -= 1
-    mv = propagate_moments(p, cfg, max(degree, 1))
-    scheme_value = sum(c * mv.m[j] for j, c in enumerate(p.f_poly[: degree + 1]))
+    m = propagate_moments(p, cfg, max(degree, 1))
+    scheme_value = sum(c * m[j] for j, c in enumerate(p.f_poly[: degree + 1]))
     return scheme_value - p.exact_terminal()

@@ -38,27 +38,35 @@ SURROGATE_MARGIN = 8
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: path count, seed, coupled grid levels."""
+    """Sampling plan: coupled grid levels, path count, seed and finest grid.
 
-    n_paths: int
-    seed: int
-    finest_n: int
+    Levels are kept sorted without duplicates; ``finest_n=None`` derives the
+    finest grid from the largest level, which must then be a power of two.
+    """
+
     levels: tuple
+    n_paths: int = 1_000_000
+    seed: int = 0
+    finest_n: Optional[int] = None
     antithetic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
+        object.__setattr__(self, "levels", tuple(sorted({int(n) for n in self.levels})))
         if self.n_paths < 100:
             raise ValueError("n_paths must be at least 100")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.finest_n < 1 or self.finest_n & (self.finest_n - 1):
-            raise ValueError("finest_n must be a positive power of two")
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if self.finest_n is None:
+            top, name = self.levels[-1], f"the largest level {self.levels[-1]}"
+        else:
+            top, name = self.finest_n, f"finest_n = {self.finest_n}"
+        if top < 1 or top & (top - 1):
+            raise ValueError(f"{name} must be a positive power of two")
         for n in self.levels:
-            if n < 1 or self.finest_n % n:
-                raise ValueError(f"level {n} does not divide finest_n = {self.finest_n}")
+            if n < 1 or top % n:
+                raise ValueError(f"level {n} does not divide {name}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even n_paths")
 
@@ -102,6 +110,8 @@ class WeakErrorReport:
     def __post_init__(self):
         if self.reference_source not in REFERENCE_SOURCES:
             raise ValueError(f"reference_source must be one of {REFERENCE_SOURCES}")
+        if self.covariance is not None and self.n_units < 2:
+            raise ValueError("a covariance needs n_units >= 2 sampling units")
 
 
 @dataclass(frozen=True)
@@ -139,24 +149,26 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
     ``kind`` selects the scheme; implicit steps use ``solver`` (closed form
     for affine drifts unless overridden) with the :class:`SchemeConfig`
     ``settings`` given (``fp_tol``, ``fp_max_iter``).  With antithetic
-    sampling the statistical unit is the (+dW, -dW) pair.
+    sampling the statistical unit is the (+dW, -dW) pair.  A derived finest
+    grid is the largest level, times SURROGATE_MARGIN for a surrogate reference.
     """
     if solver is None:
         solver = "closed_form_affine" if p.affine is not None else "fixed_point"
-    levels = tuple(sorted(set(mc.levels)))
-    sim_levels = list(levels)
+    levels = mc.levels
     surrogate = p.exact_terminal is None
-    if surrogate:
-        if mc.finest_n < SURROGATE_MARGIN * levels[-1]:
-            raise ValueError(
-                f"surrogate reference needs finest_n >= {SURROGATE_MARGIN} * "
-                f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {mc.finest_n}")
-        sim_levels += [mc.finest_n // 2, mc.finest_n]
+    finest_n = mc.finest_n
+    if finest_n is None:
+        finest_n = SURROGATE_MARGIN * levels[-1] if surrogate else levels[-1]
+    elif surrogate and finest_n < SURROGATE_MARGIN * levels[-1]:
+        raise ValueError(
+            f"surrogate reference needs finest_n >= {SURROGATE_MARGIN} * "
+            f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {finest_n}")
+    sim_levels = levels + ((finest_n // 2, finest_n) if surrogate else ())
 
     configs = [SchemeConfig(n_steps=n, kind=kind, solver=solver, **settings)
                for n in sim_levels]
     n_units = mc.n_paths // 2 if mc.antithetic else mc.n_paths
-    h_fine = p.horizon / mc.finest_n
+    h_fine = p.horizon / finest_n
     n_report = len(levels)
 
     def payoffs(cfg: SchemeConfig, incs: np.ndarray) -> np.ndarray:
@@ -166,7 +178,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         lo = batch_index * _BATCH
         hi = min(lo + _BATCH, n_units)
         idx = np.arange(lo, hi, dtype=np.uint64)
-        fine = rng.gaussian_increments(mc.seed, idx, mc.finest_n, h_fine)
+        fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
         vals = []
         for cfg in configs:
             coarse = _coarsen(fine, cfg.n_steps)
@@ -242,24 +254,26 @@ def richardson(report: WeakErrorReport) -> list:
     """First-order extrapolation on every matched (N, 2N) pair of levels.
 
     extrapolated_error(h) = 2 * estimate(2N) - estimate(N); the h-expansion
-    of the weak error makes this O(h^2).  Standard errors use the empirical
-    path-level covariance when the report carries one.
+    of the weak error makes this O(h^2).  Standard errors come from the
+    report's coupled-level covariance; a report without one must be
+    noise-free, and its points get stderr 0.
     """
     order = {lv.n_steps: j for j, lv in enumerate(report.levels)}
     pairs = [(n, 2 * n) for n in sorted(order) if 2 * n in order]
     if not pairs:
         raise ValueError("report has no matched (N, 2N) level pair")
+    cov = report.covariance
+    if cov is None and any(lv.stderr for lv in report.levels):
+        raise ValueError("a sampled report needs its level covariance for error bars")
     out = []
     for n, n2 in pairs:
         a, b = order[n], order[n2]
         la, lb = report.levels[a], report.levels[b]
         extrap = 2.0 * lb.estimate - la.estimate
-        if report.covariance is not None and report.n_units > 1:
-            cov = report.covariance
+        var = 0.0
+        if cov is not None:
             var = (4.0 * cov[b, b] + cov[a, a] - 4.0 * cov[a, b]) / report.n_units
-            stderr = float(np.sqrt(max(var, 0.0)))
-        else:
-            stderr = float(np.hypot(2.0 * lb.stderr, la.stderr))
+        stderr = float(np.sqrt(max(var, 0.0)))
         out.append(RichardsonPoint(h=la.h, extrapolated_error=float(extrap),
                                    stderr=stderr))
     return out

@@ -111,6 +111,13 @@ class Problem:
     f_poly: Optional[tuple] = None
     affine: Optional[AffineModel] = None
 
+    def __post_init__(self):
+        _require_finite(x0=self.x0, horizon=self.horizon)
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.affine is not None and self.affine.s1 != 0.0 and self.x0 <= 0:
+            raise ValueError("proportional-diffusion problems need x0 > 0")
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -180,9 +187,7 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
     Either way u stays polynomial in x.
     """
     f_poly = tuple(float(c) for c in f_poly)
-    _require_finite(f_poly=f_poly, x0=x0, horizon=horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _require_finite(f_poly=f_poly)
     if len(f_poly) > 5:
         raise ValueError("payoff degree above 4 is not representable in a Jet4")
     b1, s0, s1 = model.b1, model.s0, model.s1
@@ -194,9 +199,6 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
         def pushed(tau: float) -> tuple:
             return _gaussian_poly_push(f_poly, *_ou_transition(b1, s0, tau))
     else:
-        if x0 <= 0:
-            raise ValueError("proportional-diffusion problems need x0 > 0")
-
         def sigma_jet(x, order: int = 4) -> Jet4:
             return Jet4((s1 * x, s1, 0.0, 0.0, 0.0))
 
@@ -248,7 +250,7 @@ def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,
 
     b(x) = tanh(x), sigma(x) = c*sqrt(1+x^2), f(x) = cos(x).  sup|b'| = 1.
     """
-    _require_finite(c=c, x0=x0, horizon=horizon)
+    _require_finite(c=c)
     if c <= 0:
         raise ValueError("c must be positive")
 

@@ -82,9 +82,8 @@ def _worst_index(residual):
     return int(np.argmax(residual)) if np.ndim(residual) else None
 
 
-def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
-    """Validate h * lip_b <= 0.5 and return h = T / N."""
-    h = p.horizon / cfg.n_steps
+def _guard_step(p: Problem, h: float) -> float:
+    """Validate h * lip_b <= 0.5 and return h."""
     if h * p.lip_b > MAX_H_LIP:
         raise StepSizeError(
             f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}; "
@@ -93,7 +92,12 @@ def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
     return h
 
 
-def _resolvent_den(b_prime, h: float):
+def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
+    """Validate h * lip_b <= 0.5 and return h = T / N."""
+    return _guard_step(p, p.horizon / cfg.n_steps)
+
+
+def resolvent_den(b_prime, h: float):
     """1 - h b' from values of b'; raises SingularSh where it is near zero."""
     den = 1.0 - h * b_prime
     if np.min(np.abs(den)) < _SINGULAR_TOL:
@@ -103,7 +107,7 @@ def _resolvent_den(b_prime, h: float):
 
 def resolvent(b_prime, h: float):
     """1 / (1 - h b') from values of b' (a float or an array)."""
-    return 1.0 / _resolvent_den(b_prime, h)
+    return 1.0 / resolvent_den(b_prime, h)
 
 
 def s_h(p: Problem, h: float, x):
@@ -124,15 +128,14 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     the explicit predictor xi unless ``start`` overrides it (the limit is the
     same unique fixed point either way).
     """
-    if h * p.lip_b > MAX_H_LIP:
-        raise StepSizeError(f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}")
+    _guard_step(p, h)
     xi = x + p.sigma_jet(x, order=0).value() * dw
 
     if cfg.solver == "closed_form_affine":
         if p.affine is None:
             raise InvalidSolver(f"closed_form_affine needs an affine drift; "
                                 f"problem {p.name!r} has none")
-        return xi / (1.0 - h * p.affine.b1), 0
+        return xi / resolvent_den(p.affine.b1, h), 0
 
     if cfg.solver == "newton":
         y = xi if start is None else start
@@ -141,7 +144,7 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
             res = y - h * b.value() - xi
             if np.max(np.abs(res)) <= cfg.fp_tol:
                 return y, it
-            y = y - res / _resolvent_den(b.deriv(1), h)
+            y = y - res / resolvent_den(b.deriv(1), h)
         raise NoConvergence(
             f"newton solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
             path_index=_worst_index(res))

@@ -102,6 +102,15 @@ class TestC1AndPsi:
             assert err.startswith("weakerr: numerical failure: psi on problem 'custom': ")
         assert not path.exists()
 
+    def test_psi_times_stay_inside_short_horizon(self, capsys, tmp_path):
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text("theta = 1.0\nhorizon = 0.0005\n")
+        code, out, _ = run_cli(capsys, "psi", "--config", str(cfg), "--grid", "3x1")
+        assert code == EXIT_OK
+        ts = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(ts) == 3 and ts[0] == 0.0
+        assert all(0.0 <= t < 0.0005 for t in ts)
+
     def test_psi_unavailable_for_tanh(self, capsys):
         code, _, err = run_cli(capsys, "psi", "--problem", "tanh")
         assert code == EXIT_CONFIG
@@ -211,10 +220,15 @@ class TestConvergeExpandRichardson:
         assert run_cli(capsys, "mc", "--problem", "ou", "--levels", "8,16")[0] == EXIT_OK
         assert [(mc.n_paths, mc.seed, mc.antithetic) for mc in seen] == [(1_000_000, 0, True)] * 2
 
-    def test_bad_levels_string(self, capsys):
-        code, _, err = run_cli(capsys, "converge", "--problem", "ou",
-                               "--levels", "16,abc")
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("argv,levels", [
+        (("converge", "--problem", "ou", "--levels", "16,abc"), "16,abc"),
+        # no --finest-n given, so the refusal names the levels that break the rule
+        (("mc", "--problem", "ou", "--levels", "12", "--paths", "200"), "level 12"),
+    ], ids=["converge", "mc"])
+    def test_bad_levels_string(self, capsys, argv, levels):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert levels in err and "finest_n" not in err
 
 
 class TestMc:
@@ -298,6 +312,21 @@ class TestOutput:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a1243ac3045b8d639a7c3db62e0fa0bff34716edb64a7f2b5757ec8051ca0a83")
+
+    # SHA-256 of tanh runs on the derived finest grid (8 x the largest level)
+    # against the surrogate reference.
+    TANH_SHA256 = {
+        "mc": "d5ebe91be1ada703a2a01df4806f95dd67c3bc3cbc0566a482df59a6a3b02ee4",
+        "richardson": "0680520b3a3441cf1c85f105a2be56b9af1f34b4bafbc33fcb69e62c0cfdb7b8",
+    }
+
+    @pytest.mark.parametrize("command", sorted(TANH_SHA256))
+    def test_tanh_surrogate_bytes_pinned(self, capsys, command):
+        estimator = ("--estimator", "mc") if command == "richardson" else ()
+        code, out, _ = run_cli(capsys, command, *estimator, "--problem", "tanh",
+                               "--levels", "4,8", "--paths", "2000", "--seed", "7")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TANH_SHA256[command]
 
     @pytest.mark.parametrize("argv", [
         ("c1", "--problem", "ou", "--quad-nodes", "8", "--format", "csv"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import weakerr as we
-from weakerr.moments_oracle import MomentVector, propagate_moments, step_coefficients
+from weakerr.moments_oracle import propagate_moments, step_coefficients
 from weakerr.schemes import SchemeConfig
 
 
@@ -40,25 +40,25 @@ class TestPropagateMoments:
     def test_bm_fourth_moment_is_exact(self, problems, n):
         # sum of independent N(0, h) increments: E X_T^4 = 3 T^2 for every N
         mv = propagate_moments(problems["bm"], SchemeConfig(n_steps=n), order=4)
-        assert mv.m[4] == pytest.approx(3.0, abs=1e-12)
-        assert mv.m[2] == pytest.approx(1.0, abs=1e-13)
-        assert mv.m[1] == pytest.approx(0.0, abs=1e-14)
+        assert mv[4] == pytest.approx(3.0, abs=1e-12)
+        assert mv[2] == pytest.approx(1.0, abs=1e-13)
+        assert mv[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_ou_two_step_hand_recursion(self, problems):
         # two steps of m2 <- (m2 + h) / (1 + h)^2 at h = 1/2, by hand
         mv = propagate_moments(problems["ou"], SchemeConfig(n_steps=2), order=2)
         expected = ((1 + 0.5) / 2.25 + 0.5) / 2.25
-        assert mv.m[2] == pytest.approx(expected, abs=1e-15)
+        assert mv[2] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("n", [4, 16, 64, 256])
     def test_ou_matches_independent_recursion(self, problems, n):
         mv = propagate_moments(problems["ou"], SchemeConfig(n_steps=n), order=2)
-        assert mv.m[2] == pytest.approx(ou_implicit_m2(1.0, 1.0, 1.0, 1.0, n), rel=1e-13)
+        assert mv[2] == pytest.approx(ou_implicit_m2(1.0, 1.0, 1.0, 1.0, n), rel=1e-13)
 
     def test_ou_converges_to_exact_at_rate_one(self, problems):
         p = problems["ou"]
         exact = p.exact_terminal()
-        gaps = [abs(propagate_moments(p, SchemeConfig(n_steps=n), order=2).m[2] - exact)
+        gaps = [abs(propagate_moments(p, SchemeConfig(n_steps=n), order=2)[2] - exact)
                 for n in (32, 64, 128, 256)]
         fit = we.fit_rate([(1.0 / n, g) for n, g in zip((32, 64, 128, 256), gaps)])
         assert 0.9 <= fit.slope <= 1.1
@@ -68,16 +68,16 @@ class TestPropagateMoments:
     def test_moment_vector_invariants(self, problems, name, kind):
         mv = propagate_moments(problems[name], SchemeConfig(n_steps=16, kind=kind),
                                order=8)
-        assert mv.m[0] == 1.0
-        assert all(mv.m[j] >= 0.0 for j in range(0, 9, 2))
-        assert mv.m[2] >= mv.m[1] ** 2 - 1e-12  # Jensen
+        assert mv[0] == 1.0
+        assert all(mv[j] >= 0.0 for j in range(0, 9, 2))
+        assert mv[2] >= mv[1] ** 2 - 1e-12  # Jensen
 
     def test_scheme_kinds_differ_but_converge(self, problems):
         p = problems["ou"]
         gaps = []
         for n in (16, 32, 64, 128):
-            me = propagate_moments(p, SchemeConfig(n_steps=n, kind="explicit"), 2).m[2]
-            mi = propagate_moments(p, SchemeConfig(n_steps=n, kind="implicit"), 2).m[2]
+            me = propagate_moments(p, SchemeConfig(n_steps=n, kind="explicit"), 2)[2]
+            mi = propagate_moments(p, SchemeConfig(n_steps=n, kind="implicit"), 2)[2]
             gaps.append(abs(me - mi))
         assert gaps[0] > 1e-3  # genuinely different at coarse h
         fit = we.fit_rate([(1.0 / n, g) for n, g in zip((16, 32, 64, 128), gaps)])
@@ -89,9 +89,9 @@ class TestPropagateMoments:
         with pytest.raises(ValueError):
             propagate_moments(problems["ou"], SchemeConfig(n_steps=8), order=0)
 
-    def test_moment_vector_shape_guard(self):
-        with pytest.raises(ValueError):
-            MomentVector(m=(1.0, 0.0), order=2)
+    def test_returns_order_plus_one_moments(self, problems):
+        m = propagate_moments(problems["ou"], SchemeConfig(n_steps=8), order=2)
+        assert len(m) == 3 and m[0] == 1.0
 
 
 class TestWeakErrorExact:

@@ -26,6 +26,19 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(n_paths=1000, seed=-1, finest_n=64, levels=(16,))
 
+    def test_defaults_and_level_order(self):
+        mc = McConfig(levels=(16, 4, 16, 8))
+        assert (mc.levels, mc.n_paths, mc.seed, mc.finest_n, mc.antithetic) == \
+            ((4, 8, 16), 1_000_000, 0, None, True)
+
+    @pytest.mark.parametrize("levels,message", [
+        ((12,), "the largest level 12 must be a positive power of two"),
+        ((3, 8), "level 3 does not divide the largest level 8"),
+    ])
+    def test_derived_finest_grid_names_the_levels(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            McConfig(levels=levels)
+
 
 class TestSampleIncrements:
     """One path's finest-grid increments, as a Monte Carlo batch draws them."""
@@ -117,6 +130,15 @@ class TestEstimateWeakError:
                                          SchemeConfig(n_steps=lv.n_steps))
             assert abs(lv.estimate - oracle) <= 4.0 * lv.stderr + 1e-4
 
+    def test_derived_finest_grid_matches_explicit(self, problems):
+        # exact reference: the largest level; surrogate: SURROGATE_MARGIN times it
+        for name, finest in (("ou", 16), ("tanh", 8 * 16)):
+            base = dict(n_paths=1000, seed=6, levels=(8, 16))
+            derived = estimate_weak_error(problems[name], McConfig(**base), "implicit")
+            given = estimate_weak_error(problems[name], McConfig(**base, finest_n=finest),
+                                        "implicit")
+            assert render(derived, "json") == render(given, "json")
+
     def test_surrogate_needs_margin(self, problems):
         mc = McConfig(n_paths=1000, seed=0, finest_n=64, levels=(16,))
         with pytest.raises(ValueError):
@@ -205,6 +227,19 @@ class TestRichardson:
         pt = richardson(rep)[0]
         naive = math.hypot(2.0 * rep.levels[1].stderr, rep.levels[0].stderr)
         assert pt.stderr < naive / 2.0
+
+    def test_sampled_report_without_covariance_raises(self, problems):
+        # coupled levels are correlated: without the covariance there is no
+        # honest error bar for 2 E_{h/2} - E_h
+        mc = McConfig(n_paths=2_000, seed=4, finest_n=32, levels=(16, 32))
+        rep = estimate_weak_error(problems["ou"], mc, "implicit")
+        with pytest.raises(ValueError, match="covariance"):
+            richardson(dataclasses.replace(rep, covariance=None))
+
+    def test_covariance_needs_sampling_units(self, problems):
+        rep = oracle_report(problems["ou"], "implicit", (16, 32))
+        with pytest.raises(ValueError, match="n_units"):
+            dataclasses.replace(rep, covariance=np.zeros((2, 2)))
 
     def test_unmatched_levels_raise(self, problems):
         rep = oracle_report(problems["ou"], "implicit", (16, 48))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -230,6 +231,14 @@ class TestBuilderValidation:
                               x0=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             we.tanh_problem(c=0.0)
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("build", list(BUILDER_ARGS), ids=lambda b: b.__name__)
+    def test_horizon_must_be_positive(self, build, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            build("x", **{**BUILDER_ARGS[build], "horizon": horizon})
+        with pytest.raises(ValueError, match="horizon"):
+            dataclasses.replace(build("x", **BUILDER_ARGS[build]), horizon=horizon)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("build,key", [(b, k) for b, args in BUILDER_ARGS.items()

@@ -124,8 +124,12 @@ class TestImplicitStep:
             we.run_paths(p, cfg, np.zeros((3, 4)))
 
     def test_step_size_guard(self, problems):
-        with pytest.raises(we.StepSizeError):
-            we.implicit_step(problems["ou"], SchemeConfig(n_steps=1), 1.0, 1.0, 0.0)
+        cfg = SchemeConfig(n_steps=1)
+        with pytest.raises(we.StepSizeError) as step:
+            we.implicit_step(problems["ou"], cfg, 1.0, 1.0, 0.0)
+        with pytest.raises(we.StepSizeError) as grid:
+            check_step_size(problems["ou"], cfg)
+        assert str(step.value) == str(grid.value)
 
 
 class TestContraction:
