@@ -48,7 +48,6 @@ from .expansion import (
     leading_constant,
     psi_identity_residual,
     psi_ih_gap,
-    psi_ih_kind,
 )
 from .montecarlo import (
     LevelEstimate,
@@ -56,10 +55,10 @@ from .montecarlo import (
     RichardsonPoint,
     WeakErrorReport,
     estimate_weak_error,
-    oracle_report,
     richardson,
 )
-from .rates import ExpansionTable, RateFit, TooFewPoints, expansion_check, fit_rate
+from .rates import (ExpansionTable, RateFit, TooFewPoints, expansion_check, fit_rate,
+                    oracle_report)
 from .reports import emit_report
 
 __all__ = [
@@ -108,7 +107,6 @@ __all__ = [
     "propagate_moments",
     "psi_identity_residual",
     "psi_ih_gap",
-    "psi_ih_kind",
     "richardson",
     "run_paths",
     "s_h",

@@ -21,10 +21,10 @@ import numpy as np
 
 from .expansion import PSI_NAMES, PsiKind, leading_constant, psi_at
 from .jets import InsufficientJetOrder
-from .montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
+from .montecarlo import McConfig, estimate_weak_error, richardson
 from .moments_oracle import weak_error_exact
 from .problems import Problem, gbm_family_problem, get_problem, ou_family_problem
-from .rates import TooFewPoints, expansion_check, fit_rate
+from .rates import TooFewPoints, expansion_check, fit_rate, oracle_report
 from .reports import FORMATS, render
 from .schemes import KINDS, NoConvergence, SchemeConfig
 from . import __version__
@@ -35,8 +35,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _SOLVER_ALIASES = {"fp": "fixed_point", "newton": "newton", "affine": "closed_form_affine"}
-# The argparse destinations of the flags that only a Monte Carlo run reads.
-_MC_FLAGS = ("paths", "seed", "finest_n", "antithetic", "solver", "fp_tol", "fp_max_iter")
+_DEFAULT_LEVELS = "16,32,64,128,256,512"
 
 _CONFIG_KEYS = ("name", "x0", "horizon", "theta", "sigma", "mu", "s", "f_poly")
 
@@ -98,12 +97,9 @@ def _resolve_problem(args) -> Problem:
 
 def _parse_levels(text: str) -> tuple:
     try:
-        levels = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"levels must be comma-separated integers, got {text!r}") from None
-    if not levels or any(n < 1 for n in levels):
-        raise ValueError("levels must be positive integers")
-    return levels
 
 
 def _write(text: str, path) -> None:
@@ -192,8 +188,7 @@ def _cmd_expand(args, p: Problem) -> None:
 def _cmd_richardson(args, p: Problem) -> None:
     levels = _parse_levels(args.levels)
     if args.estimator == "oracle":
-        given = [f"--{dest.replace('_', '-')}" for dest in _MC_FLAGS
-                 if getattr(args, dest) is not None]
+        given = [flag for flag, dest in args.mc_flags if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"only --estimator mc reads {', '.join(given)}")
         report = oracle_report(p, args.scheme, levels)
@@ -220,13 +215,25 @@ def _add_mc(sub) -> None:
     sampling defaults, and without ``--solver`` the implicit steps pick
     closed form for affine drifts, fixed point otherwise.
     """
-    sub.add_argument("--paths", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--finest-n", type=int)
-    sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES))
-    sub.add_argument("--fp-tol", type=float)
-    sub.add_argument("--fp-max-iter", type=int)
+    actions = (
+        sub.add_argument("--paths", type=int),
+        sub.add_argument("--seed", type=int),
+        sub.add_argument("--finest-n", type=int),
+        sub.add_argument("--antithetic", action=argparse.BooleanOptionalAction),
+        sub.add_argument("--solver", choices=tuple(_SOLVER_ALIASES)),
+        sub.add_argument("--fp-tol", type=float),
+        sub.add_argument("--fp-max-iter", type=int),
+    )
+    # (flag, destination) of each, for the refusal of richardson --estimator oracle
+    sub.set_defaults(mc_flags=tuple((a.option_strings[0], a.dest) for a in actions))
+
+
+def _add_density(sub, quad_nodes: bool = True) -> None:
+    """The density flags of ``psi``, ``c1`` and ``expand``; the last two integrate it."""
+    sub.add_argument("--kind", choices=PSI_NAMES, default="psi_i")
+    sub.add_argument("--h", type=float, default=None, help="step size for psi_ih")
+    if quad_nodes:
+        sub.add_argument("--quad-nodes", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,34 +256,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("psi", help="density values on a (t, x) grid, as CSV")
     _add_common(sub, scheme=False)
-    sub.add_argument("--kind", choices=PSI_NAMES, default="psi_i")
-    sub.add_argument("--h", type=float, default=None, help="step size for psi_ih")
+    _add_density(sub, quad_nodes=False)
     sub.add_argument("--grid", default="20x20")
     sub.set_defaults(func=_cmd_psi)
 
     sub = subs.add_parser("c1", help="leading constant E int psi(t, X_t) dt")
     _add_common(sub, scheme=False)
-    sub.add_argument("--kind", choices=PSI_NAMES, default="psi_i")
-    sub.add_argument("--h", type=float, default=None, help="step size for psi_ih")
-    sub.add_argument("--quad-nodes", type=int, default=64)
+    _add_density(sub)
     sub.set_defaults(func=_cmd_c1)
 
     sub = subs.add_parser("converge", help="log-log order fit of oracle weak errors")
     _add_common(sub)
-    sub.add_argument("--levels", default="16,32,64,128,256,512")
+    sub.add_argument("--levels", default=_DEFAULT_LEVELS)
     sub.set_defaults(func=_cmd_converge)
 
     sub = subs.add_parser("expand", help="first-order expansion check: weak_err - h*C1")
     _add_common(sub, scheme=False)
-    sub.add_argument("--levels", default="16,32,64,128,256,512")
-    sub.add_argument("--kind", choices=PSI_NAMES, default="psi_i")
-    sub.add_argument("--h", type=float, default=None)
-    sub.add_argument("--quad-nodes", type=int, default=64)
+    sub.add_argument("--levels", default=_DEFAULT_LEVELS)
+    _add_density(sub)
     sub.set_defaults(func=_cmd_expand)
 
     sub = subs.add_parser("richardson", help="extrapolated errors on matched level pairs")
     _add_common(sub)
-    sub.add_argument("--levels", default="16,32,64,128,256,512")
+    sub.add_argument("--levels", default=_DEFAULT_LEVELS)
     sub.add_argument("--estimator", choices=("oracle", "mc"), default="oracle")
     _add_mc(sub)
     sub.set_defaults(func=_cmd_richardson)

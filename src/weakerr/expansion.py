@@ -47,7 +47,7 @@ import numpy as np
 
 from .jets import Jet4, jet_derive
 from .problems import Problem, marginal_law
-from .schemes import resolvent
+from .schemes import is_count, resolvent
 
 PSI_NAMES = ("psi_i", "psi_e", "psi_ih")
 
@@ -81,10 +81,6 @@ class PsiKind:
 
 PSI_I = PsiKind("psi_i")
 PSI_E = PsiKind("psi_e")
-
-
-def psi_ih_kind(h: float) -> PsiKind:
-    return PsiKind("psi_ih", h=float(h))
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,7 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
     The closed form is 1/4 s^2 (S_h^2 - 1) b'' du + 1/2 b' (S_h - 1) s^2 Du;
     since S_h - 1 = h b' / (1 - h b'), the gap is O(h).
     """
-    gap = (eval_psi(psi_ih_kind(h), b, sigma, u)
+    gap = (eval_psi(PsiKind("psi_ih", h=float(h)), b, sigma, u)
            - eval_psi(PSI_I, b, sigma, u))
     sh = resolvent(b.deriv(1), h)
     s2 = (sigma * sigma).value()
@@ -263,8 +259,8 @@ def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> Leading
     is the change under panel doubling.  A problem without a closed-form law
     or u fails at the first node, with :func:`marginal_law`'s ``ValueError``.
     """
-    if quad_nodes < 1:
-        raise ValueError("quad_nodes must be positive")
+    if not is_count(quad_nodes):
+        raise ValueError("quad_nodes must be a positive integer")
     value = _time_integral(p, kind, quad_nodes)
     refined = _time_integral(p, kind, 2 * quad_nodes)
     return LeadingConstant(value=value, quad_nodes=quad_nodes,

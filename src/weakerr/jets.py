@@ -58,11 +58,6 @@ class Jet4:
         """Jet of the constant function x -> c (all derivatives known and zero)."""
         return Jet4((float(c), 0.0, 0.0, 0.0, 0.0))
 
-    @staticmethod
-    def variable(x: float) -> "Jet4":
-        """Jet of the identity function at the point x."""
-        return Jet4((float(x), 1.0, 0.0, 0.0, 0.0))
-
     def value(self):
         return self.d[0]
 

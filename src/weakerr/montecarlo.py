@@ -23,9 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .moments_oracle import weak_error_exact
 from .problems import Problem
-from .schemes import NoConvergence, SchemeConfig, run_paths
+from .schemes import NoConvergence, SchemeConfig, is_count, level_set, run_paths
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -40,7 +39,7 @@ SURROGATE_MARGIN = 8
 class McConfig:
     """Sampling plan: coupled grid levels, path count, seed and finest grid.
 
-    Levels are kept sorted without duplicates; ``finest_n=None`` derives the
+    Levels are stored as ``level_set(levels)``; ``finest_n=None`` derives the
     finest grid from the largest level, which must then be a power of two.
     """
 
@@ -51,21 +50,19 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(sorted({int(n) for n in self.levels})))
-        if self.n_paths < 100:
-            raise ValueError("n_paths must be at least 100")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if not self.levels:
-            raise ValueError("levels must be nonempty")
+        object.__setattr__(self, "levels", level_set(self.levels))
+        if not is_count(self.n_paths, 100):
+            raise ValueError("n_paths must be an integer of at least 100")
+        if not (is_count(self.seed, 0) and self.seed < 2**64):
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
         if self.finest_n is None:
             top, name = self.levels[-1], f"the largest level {self.levels[-1]}"
         else:
             top, name = self.finest_n, f"finest_n = {self.finest_n}"
-        if top < 1 or top & (top - 1):
+        if not is_count(top) or top & (top - 1):
             raise ValueError(f"{name} must be a positive power of two")
         for n in self.levels:
-            if n < 1 or top % n:
+            if top % n:
                 raise ValueError(f"level {n} does not divide {name}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even n_paths")
@@ -234,20 +231,6 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         reference_source="surrogate" if surrogate else "exact",
         levels=level_estimates, covariance=cov, n_units=n,
     )
-
-
-def oracle_report(p: Problem, kind: str, levels) -> WeakErrorReport:
-    """Noise-free weak errors from the moment oracle, in report form."""
-    levels = tuple(sorted(set(int(n) for n in levels)))
-    ests = tuple(
-        LevelEstimate(n_steps=n, h=p.horizon / n,
-                      estimate=weak_error_exact(p, SchemeConfig(n_steps=n, kind=kind)),
-                      stderr=0.0, source="oracle")
-        for n in levels
-    )
-    return WeakErrorReport(problem=p.name, scheme=kind,
-                           reference=p.exact_terminal(), reference_source="exact",
-                           levels=ests)
 
 
 def richardson(report: WeakErrorReport) -> list:

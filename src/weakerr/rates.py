@@ -1,4 +1,4 @@
-"""Convergence-rate fitting and the first-order expansion check.
+"""Noise-free level reports, convergence-rate fitting and the expansion check.
 
 A weak order of one means |E f(X^N_T) - E f(X_T)| <= C h; measured on a grid
 of step sizes this reads as a log-log slope of about one.  Subtracting the
@@ -15,8 +15,9 @@ import numpy as np
 
 from .expansion import PSI_I, LeadingConstant, PsiKind, leading_constant
 from .moments_oracle import weak_error_exact
+from .montecarlo import LevelEstimate, WeakErrorReport
 from .problems import Problem
-from .schemes import SchemeConfig
+from .schemes import SchemeConfig, level_set
 
 # Errors at or below double-rounding scale carry no rate information.
 NOISE_FLOOR = 1e-14
@@ -24,6 +25,19 @@ NOISE_FLOOR = 1e-14
 
 class TooFewPoints(ValueError):
     """Fewer than three usable points remain after noise-floor exclusion."""
+
+
+def oracle_report(p: Problem, kind: str, levels) -> WeakErrorReport:
+    """Noise-free weak errors on ``level_set(levels)`` from the moment oracle, as a report."""
+    ests = tuple(
+        LevelEstimate(n_steps=n, h=p.horizon / n,
+                      estimate=weak_error_exact(p, SchemeConfig(n_steps=n, kind=kind)),
+                      stderr=0.0, source="oracle")
+        for n in level_set(levels)
+    )
+    return WeakErrorReport(problem=p.name, scheme=kind,
+                           reference=p.exact_terminal(), reference_source="exact",
+                           levels=ests)
 
 
 @dataclass(frozen=True)
@@ -94,18 +108,15 @@ def expansion_check(p: Problem, levels, kind: PsiKind = PSI_I,
                     quad_nodes: int = 64) -> ExpansionTable:
     """Per level: oracle weak error, h * C1 prediction, and their difference.
 
-    Uses the implicit scheme's moment oracle; the density defaults to the
+    Reads the implicit scheme's :func:`oracle_report`; the density defaults to the
     implicit one (substituting the explicit density is the negative control:
     it fails to cancel the first-order term when b != 0).
     """
     c1 = leading_constant(p, kind, quad_nodes=quad_nodes)
-    rows = []
-    for n in sorted(set(int(n) for n in levels)):
-        h = p.horizon / n
-        we = weak_error_exact(p, SchemeConfig(n_steps=n, kind="implicit"))
-        rows.append(ExpansionRow(n_steps=n, h=h, weak_err=we,
-                                 h_times_c1=h * c1.value,
-                                 second_order_residual=we - h * c1.value))
+    rows = [ExpansionRow(n_steps=lv.n_steps, h=lv.h, weak_err=lv.estimate,
+                         h_times_c1=lv.h * c1.value,
+                         second_order_residual=lv.estimate - lv.h * c1.value)
+            for lv in oracle_report(p, "implicit", levels).levels]
     try:
         fit = fit_rate([(r.h, r.second_order_residual) for r in rows])
     except TooFewPoints:

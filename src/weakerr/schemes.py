@@ -16,6 +16,7 @@ path ensembles advance in one call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,22 @@ class SingularSh(ArithmeticError):
     """1 - h b'(x) is numerically zero, so the resolvent map is singular."""
 
 
+def is_count(n, least: int = 1) -> bool:
+    """Whether n is an integer >= least; numpy integers pass, floats do not."""
+    return isinstance(n, numbers.Integral) and n >= least
+
+
+def level_set(levels) -> tuple:
+    """The one level-set rule: nonempty positive integers, as sorted distinct Python ints."""
+    levels = tuple(levels)
+    if not levels:
+        raise ValueError("levels must be nonempty")
+    for n in levels:
+        if not is_count(n):
+            raise ValueError(f"level {n!r} is not a positive integer")
+    return tuple(sorted({int(n) for n in levels}))
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Grid size and scheme kind, plus implicit-solver settings."""
@@ -65,7 +82,7 @@ class SchemeConfig:
     solver: str = "fixed_point"
 
     def __post_init__(self):
-        if self.n_steps < 1:
+        if not is_count(self.n_steps):
             raise ValueError("n_steps must be a positive integer")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
@@ -73,7 +90,7 @@ class SchemeConfig:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if not 0 < self.fp_tol < math.inf:
             raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol!r}")
-        if self.fp_max_iter < 1:
+        if not is_count(self.fp_max_iter):
             raise ValueError("fp_max_iter must be a positive integer")
 
 
@@ -165,13 +182,6 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         path_index=_worst_index(res))
 
 
-def _step(p: Problem, cfg: SchemeConfig, h: float, x, dw):
-    if cfg.kind == "explicit":
-        return explicit_step(p, h, x, dw)
-    x_next, _ = implicit_step(p, cfg, h, x, dw)
-    return x_next
-
-
 def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False):
     """Advance a whole ensemble; rows of ``increments`` are independent paths.
 
@@ -190,7 +200,10 @@ def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False
         path[:, 0] = x
     for k in range(cfg.n_steps):
         try:
-            x = _step(p, cfg, h, x, increments[:, k])
+            if cfg.kind == "explicit":
+                x = explicit_step(p, h, x, increments[:, k])
+            else:
+                x, _ = implicit_step(p, cfg, h, x, increments[:, k])
         except NoConvergence as err:
             raise NoConvergence(f"step {k}: {err}", step_index=k,
                                 path_index=err.path_index) from err

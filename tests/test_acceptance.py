@@ -14,8 +14,8 @@ import weakerr as we
 from weakerr import rng
 from weakerr.expansion import PSI_E, PSI_I, eval_psi, eval_psi_i_expanded, psi_ih_gap
 from weakerr.jets import Jet4
-from weakerr.montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
-from weakerr.rates import expansion_check, fit_rate
+from weakerr.montecarlo import McConfig, estimate_weak_error, richardson
+from weakerr.rates import expansion_check, fit_rate, oracle_report
 from weakerr.reports import render
 from weakerr.schemes import SchemeConfig, check_step_size
 

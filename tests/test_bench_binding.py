@@ -1,0 +1,55 @@
+"""The benchmark under ``bench/`` patches and calls library names by module.
+
+A refactor that moves or renames one of them must fail here, in the test
+suite, rather than only when the benchmark runs.  The bench modules are
+imported read-only; nothing under ``bench/`` is changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import weakerr
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import layers
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return layers, spans, workloads
+
+
+def test_every_patched_name_resolves(bench):
+    layers, spans, _ = bench
+    # instrument reads each attribute it wraps, so a moved name raises here
+    targets = layers.instrument(spans.Tracer(), weakerr)
+    assert all(hasattr(module, name) for module, name, _ in targets)
+
+
+def test_every_workload_config_builds(bench):
+    _, _, workloads = bench
+    for w in workloads.WORKLOADS.values():
+        if hasattr(w.spec, "config"):
+            w.spec.config(weakerr, w.default_seed)
+        assert set(workloads.build_problems(weakerr, w)) == set(w.spec.problems)
+
+
+def test_traced_expansion_check_reaches_the_oracle(bench):
+    # the traced run counts moments_oracle calls where rates looks the
+    # oracle up; a level loop that bypassed rates.weak_error_exact reads 0
+    layers, spans, _ = bench
+    tracer = spans.Tracer()
+    with spans.patched(layers.instrument(tracer, weakerr)):
+        weakerr.rates.expansion_check(weakerr.get_problem("ou"), (16, 32, 64),
+                                      quad_nodes=1)
+    names = [sp.name for sp in tracer.spans]
+    assert names.count("moments_oracle.weak_error_exact") == 3
+    assert names.count("rates.expansion_check") == 1

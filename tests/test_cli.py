@@ -224,7 +224,9 @@ class TestConvergeExpandRichardson:
         (("converge", "--problem", "ou", "--levels", "16,abc"), "16,abc"),
         # no --finest-n given, so the refusal names the levels that break the rule
         (("mc", "--problem", "ou", "--levels", "12", "--paths", "200"), "level 12"),
-    ], ids=["converge", "mc"])
+        # parsed, then refused by the level rule with the level named
+        (("expand", "--problem", "ou", "--levels", "0,16", "--quad-nodes", "1"), "level 0"),
+    ], ids=["converge", "mc", "expand-zero"])
     def test_bad_levels_string(self, capsys, argv, levels):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, "")
@@ -327,6 +329,29 @@ class TestOutput:
                                "--levels", "4,8", "--paths", "2000", "--seed", "7")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.TANH_SHA256[command]
+
+    # SHA-256 of the noise-free level reports, taken while expansion_check
+    # still ran its own oracle loop beside oracle_report.
+    ORACLE_SHA256 = {
+        "expand-ou": (COMMANDS["expand"],
+                      "ade3ffd07ee83bf2f099af262cdc9405cf49df4a80aefc06619502fa9d3df96b"),
+        "expand-gbm": (("expand", "--problem", "gbm", "--levels", "16,32,64",
+                        "--quad-nodes", "8"),
+                       "cd18149a04686829adf248c98f3681f5b997bafcbc86320914c050f7ba127b98"),
+        "converge-gbm": (COMMANDS["converge"],
+                         "0759acfd3ff3c1f3c9c20de92e8c82595e61f54271b02b89e0e2c26f2ad73985"),
+        "richardson-json": ((*COMMANDS["richardson"], "--format", "json"),
+                            "8d02d240c272cd79b333a4d966e4d7810d74ebdbd07e24efaa796bb06db9f222"),
+        "richardson-csv": ((*COMMANDS["richardson"], "--format", "csv"),
+                           "02f4b1346f2ef0ef6b37117e812560b8c0e4ef08c7a7801be92da04bca5ed364"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(ORACLE_SHA256))
+    def test_oracle_bytes_pinned(self, capsys, run):
+        argv, digest = self.ORACLE_SHA256[run]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [
         ("c1", "--problem", "ou", "--quad-nodes", "8", "--format", "csv"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import weakerr as we
 from weakerr.expansion import (_GH_Z, PSI_E, PSI_I, PsiKind, eval_psi, eval_psi_i_expanded,
                                expect_psi, leading_constant, psi_at,
-                               psi_identity_residual, psi_ih_gap, psi_ih_kind)
+                               psi_identity_residual, psi_ih_gap)
 from weakerr.jets import InsufficientJetOrder, Jet4
 
 entries = st.floats(min_value=-2.0, max_value=2.0)
@@ -179,7 +179,6 @@ class TestPsiKindValidation:
             PsiKind("psi_i", h=0.1)
         with pytest.raises(ValueError):
             PsiKind("psi_ih")
-        assert psi_ih_kind(0.25).h == 0.25
 
     def test_insufficient_jet_order(self):
         b = Jet4((0.5, -1.0, 0.0, 0.0, 0.0))
@@ -196,7 +195,7 @@ class TestPsiKindValidation:
         sigma = Jet4.constant(1.0)
         u = Jet4((1.0, 1.0, 1.0, 0.0, 0.0))
         with pytest.raises(we.SingularSh):
-            eval_psi(psi_ih_kind(0.1), b, sigma, u)
+            eval_psi(PsiKind("psi_ih", h=0.1), b, sigma, u)
 
 
 class TestLeadingConstant:
@@ -252,7 +251,7 @@ class TestLeadingConstant:
     def test_psi_ih_constant_approaches_psi_i_constant(self, problems):
         p = problems["ou"]
         base = leading_constant(p, PSI_I, quad_nodes=16).value
-        gaps = [abs(leading_constant(p, psi_ih_kind(h), quad_nodes=16).value - base)
+        gaps = [abs(leading_constant(p, PsiKind("psi_ih", h=h), quad_nodes=16).value - base)
                 for h in (0.05, 0.025)]
         assert gaps[1] == pytest.approx(gaps[0] / 2, rel=0.1)
 
@@ -280,7 +279,7 @@ class TestArrayPath:
         "ou": ("-0x1.3020005305ea9p-3", "0x1.8000000000000p-54"),
         "gbm": ("0x1.004e8861b256dp-9", "0x1.b800000000000p-56"),
     }
-    KINDS = [PSI_I, PSI_E, psi_ih_kind(0.03)]
+    KINDS = [PSI_I, PSI_E, PsiKind("psi_ih", h=0.03)]
     # Quartic payoffs put cubes and squares of x into every density term,
     # where numpy's array ``**`` and the C library's pow round differently.
     QUARTIC = {

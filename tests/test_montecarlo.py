@@ -6,7 +6,8 @@ import pytest
 
 import weakerr as we
 from weakerr import rng
-from weakerr.montecarlo import McConfig, estimate_weak_error, oracle_report, richardson
+from weakerr.montecarlo import McConfig, estimate_weak_error, richardson
+from weakerr.rates import oracle_report
 from weakerr.reports import render
 from weakerr.schemes import SchemeConfig
 

@@ -274,3 +274,44 @@ class TestSchemeConfig:
         # h * lip_b = 0.5 is allowed, anything beyond is not
         assert check_step_size(problems["tanh"], SchemeConfig(n_steps=2)) == 0.5
         assert MAX_H_LIP == 0.5
+
+
+class TestCountsAndLevels:
+    """Grid levels and every count are integers, checked by one rule in schemes."""
+
+    COUNTS = {
+        "n_paths": lambda p: we.McConfig(levels=(16,), n_paths=1000.0),
+        "seed": lambda p: we.McConfig(levels=(16,), seed=1.5),
+        "finest_n": lambda p: we.McConfig(levels=(16,), finest_n=64.0),
+        "n_steps": lambda p: SchemeConfig(n_steps=8.5),
+        "fp_max_iter": lambda p: SchemeConfig(n_steps=8, fp_max_iter=2.5),
+        "quad_nodes": lambda p: we.leading_constant(p, we.PSI_I, quad_nodes=2.5),
+    }
+
+    @pytest.mark.parametrize("field", sorted(COUNTS))
+    def test_non_integer_count_refused(self, problems, field):
+        # each was accepted, then failed later with a TypeError or ran a
+        # truncated value
+        with pytest.raises(ValueError, match=field):
+            self.COUNTS[field](problems["ou"])
+
+    LEVEL_CALLERS = {
+        "McConfig": lambda p, levels: we.McConfig(levels=levels),
+        "oracle_report": lambda p, levels: we.oracle_report(p, "implicit", levels),
+        "expansion_check": lambda p, levels: we.expansion_check(p, levels, quad_nodes=1),
+    }
+
+    @pytest.mark.parametrize("levels,message", [
+        ((16.7, 32), "level 16.7 is not a positive integer"),
+        ((0, 16), "level 0 is not a positive integer"),
+        ((), "levels must be nonempty"),
+    ], ids=["16.7", "0", "empty"])
+    @pytest.mark.parametrize("caller", sorted(LEVEL_CALLERS))
+    def test_bad_level_set_refused(self, problems, caller, levels, message):
+        with pytest.raises(ValueError, match=message):
+            self.LEVEL_CALLERS[caller](problems["ou"], levels)
+
+    def test_level_set_sorts_and_returns_python_ints(self):
+        levels = we.schemes.level_set((np.int64(64), 16, np.int32(16), 32))
+        assert levels == (16, 32, 64)
+        assert all(type(n) is int for n in levels)
