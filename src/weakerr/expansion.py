@@ -45,9 +45,10 @@ from typing import Optional
 
 import numpy as np
 
+from .counts import is_count
 from .jets import Jet4, jet_derive
 from .problems import Problem, marginal_law
-from .schemes import is_count, resolvent
+from .schemes import resolvent
 
 PSI_NAMES = ("psi_i", "psi_e", "psi_ih")
 

@@ -23,8 +23,9 @@ from typing import Optional
 import numpy as np
 
 from . import rng
+from .counts import is_count, is_uint64
 from .problems import Problem
-from .schemes import NoConvergence, SchemeConfig, is_count, level_set, run_paths
+from .schemes import NoConvergence, SchemeConfig, level_set, run_paths
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -53,7 +54,7 @@ class McConfig:
         object.__setattr__(self, "levels", level_set(self.levels))
         if not is_count(self.n_paths, 100):
             raise ValueError("n_paths must be an integer of at least 100")
-        if not (is_count(self.seed, 0) and self.seed < 2**64):
+        if not is_uint64(self.seed):
             raise ValueError("seed must be an integer that fits in 64 unsigned bits")
         if self.finest_n is None:
             top, name = self.levels[-1], f"the largest level {self.levels[-1]}"

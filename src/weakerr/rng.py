@@ -10,12 +10,18 @@ independent.
 Layout: the 128-bit Philox counter holds (block index within the path, low
 and high words of the path index, 0); the 64-bit key is the seed.  Each
 128-bit output block yields two 64-bit words, i.e. two normal draws.
+Normals are generated in cache-sized chunks of rows; every draw depends on
+its own counter alone, so the stream does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtri
+
+from .counts import is_count, is_uint64
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -24,6 +30,10 @@ _W1 = 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
+
+# Philox blocks per chunk of rows: a chunk's six uint64 round arrays (128 KB
+# each) stay in L2 cache through the ten rounds.
+_CHUNK_BLOCKS = 2**14
 
 
 def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):
@@ -60,52 +70,72 @@ def philox4x32_10(c0, c1, c2, c3, k0, k1):
     return tuple(w.astype(np.uint32) for w in out)
 
 
-def _uniforms(seed: int, path_indices: np.ndarray, n_steps: int) -> np.ndarray:
-    """53-bit uniforms in the open interval (0, 1), shape (n_paths, n_steps)."""
+def _check_paths(path_indices) -> np.ndarray:
+    """Path indices as a 1-D uint64 array; refuses anything but integers in [0, 2^64)."""
+    paths = np.asarray(path_indices)
+    if paths.dtype.kind not in "iu":
+        # Python ints above 2^63 beside smaller ones arrive as float64 or object.
+        paths = np.asarray(path_indices, dtype=object)
+        valid = all(is_uint64(i) for i in paths.flat)
+    else:
+        valid = not paths.size or paths.min() >= 0
+    if not valid or paths.ndim > 1:
+        raise ValueError("path_indices must be nonnegative 64-bit integers in one dimension")
+    return np.atleast_1d(paths.astype(np.uint64))
+
+
+def _normals(seed, path_indices, n_steps, scale=None) -> np.ndarray:
+    """Standard normals of shape (n_paths, n_steps), times ``scale`` if given.
+
+    Each chunk of rows runs the whole chain -- counters, Philox rounds, 53-bit
+    uniforms, inverse CDF -- straight into its rows of the output.
+    """
+    if not is_count(n_steps):
+        raise ValueError("n_steps must be a positive integer")
+    if not is_uint64(seed):
+        raise ValueError("seed must be an integer that fits in 64 unsigned bits")
+    paths = _check_paths(path_indices)
+    k0, k1 = int(seed) & 0xFFFFFFFF, int(seed) >> 32
     n_blocks = (n_steps + 1) // 2
-    paths = np.asarray(path_indices, dtype=np.uint64)
-    shape = (paths.size, n_blocks)
-    c0 = np.empty(shape, dtype=np.uint64)
-    c0[:] = np.arange(n_blocks, dtype=np.uint64)
-    c1 = np.empty(shape, dtype=np.uint64)
-    c1[:] = (paths & _MASK32)[:, None]
-    c2 = np.empty(shape, dtype=np.uint64)
-    c2[:] = (paths >> _S32)[:, None]
-    c3 = np.zeros(shape, dtype=np.uint64)
-    y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3,
-                                    seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
-    # Pack pairs of 32-bit outputs into 64-bit words: block j covers steps
-    # 2j (words y0:y1) and 2j+1 (words y2:y3).
-    np.left_shift(y0, _S32, out=y0)
-    np.bitwise_or(y0, y1, out=y0)
-    np.left_shift(y2, _S32, out=y2)
-    np.bitwise_or(y2, y3, out=y2)
-    words = np.empty((paths.size, 2 * n_blocks), dtype=np.uint64)
-    words[:, 0::2] = y0
-    words[:, 1::2] = y2
-    # Top 53 bits, offset by half an ulp: values lie strictly inside (0, 1).
-    np.right_shift(words, _S11, out=words)
-    u = words[:, :n_steps].astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+    blocks = np.arange(n_blocks, dtype=np.uint64)
+    rows = max(1, _CHUNK_BLOCKS // n_blocks)
+    out = np.empty((paths.size, n_steps))
+    for lo in range(0, paths.size, rows):
+        chunk = paths[lo:lo + rows, None]
+        shape = (chunk.shape[0], n_blocks)
+        c0 = np.empty(shape, dtype=np.uint64)
+        c0[:] = blocks
+        c1 = np.empty(shape, dtype=np.uint64)
+        c1[:] = chunk & _MASK32
+        c2 = np.empty(shape, dtype=np.uint64)
+        c2[:] = chunk >> _S32
+        c3 = np.zeros(shape, dtype=np.uint64)
+        y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
+        # Pack pairs of 32-bit outputs into 64-bit words and keep their top
+        # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).
+        for upper, lower in ((y0, y1), (y2, y3)):
+            np.left_shift(upper, _S32, out=upper)
+            np.bitwise_or(upper, lower, out=upper)
+            np.right_shift(upper, _S11, out=upper)
+        z = out[lo:lo + rows]
+        z[:, 0::2] = y0
+        z[:, 1::2] = y2[:, :n_steps // 2]
+        # Offset by half an ulp: the uniforms lie strictly inside (0, 1).
+        z += 0.5
+        z *= 2.0**-53
+        ndtri(z, out=z)
+        if scale is not None:
+            z *= scale
+    return out
 
 
 def normal_block(seed: int, path_indices, n_steps: int) -> np.ndarray:
     """Standard normal draws, one row per entry of ``path_indices``."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.uint64))
-    u = _uniforms(int(seed), path_indices, n_steps)
-    return ndtri(u, out=u)
+    return _normals(seed, path_indices, n_steps)
 
 
 def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.ndarray:
     """Brownian increments N(0, dt), shape (n_paths, n_steps)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    z = normal_block(seed, path_indices, n_steps)
-    z *= np.sqrt(dt)
-    return z
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return _normals(seed, path_indices, n_steps, np.sqrt(dt))

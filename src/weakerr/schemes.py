@@ -16,11 +16,11 @@ path ensembles advance in one call.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .counts import is_count
 from .problems import Problem
 
 KINDS = ("explicit", "implicit")
@@ -53,11 +53,6 @@ class InvalidSolver(ValueError):
 
 class SingularSh(ArithmeticError):
     """1 - h b'(x) is numerically zero, so the resolvent map is singular."""
-
-
-def is_count(n, least: int = 1) -> bool:
-    """Whether n is an integer >= least; numpy integers pass, floats do not."""
-    return isinstance(n, numbers.Integral) and n >= least
 
 
 def level_set(levels) -> tuple:
@@ -168,18 +163,20 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
 
     # fixed_point: y_{i+1} = xi + h b(y_i); the residual of y_{i+1} equals
     # h |b(y_i) - b(y_{i+1})|, so one drift evaluation per iteration suffices.
+    # Rounding is monotone, so h * max|db| <= tol decides as max(h |db|) <= tol
+    # would, without forming h |db| until a failure needs its worst path.
     y = xi if start is None else start
     by = p.b_jet(y, order=0).value()
     for it in range(cfg.fp_max_iter):
         y_next = xi + h * by
         by_next = p.b_jet(y_next, order=0).value()
-        res = h * np.abs(by_next - by)
-        if np.max(res) <= cfg.fp_tol:
+        db = np.abs(by_next - by)
+        if h * np.max(db) <= cfg.fp_tol:
             return y_next, it + 1
         y, by = y_next, by_next
     raise NoConvergence(
         f"fixed-point solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
-        path_index=_worst_index(res))
+        path_index=_worst_index(h * db))
 
 
 def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -90,13 +91,37 @@ class TestNormalBlock:
         z9 = rng.normal_block(5, [3], 9)
         assert np.array_equal(z9[0, :7], z[0])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rng.normal_block(-1, [0], 4)
-        with pytest.raises(ValueError):
-            rng.normal_block(0, [0], 0)
-        with pytest.raises(ValueError):
-            rng.gaussian_increments(0, [0], 4, 0.0)
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), 2**64, -1, "7"])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            rng.normal_block(seed, [0], 4)
+
+    @pytest.mark.parametrize("paths", [np.array([3, -1], dtype=np.int64), [-1], [0.7],
+                                       np.array([1.0, 2.0]), [2**64, 0],
+                                       [[0, 1], [2, 3]]])
+    def test_path_indices_must_be_nonnegative_integers(self, paths):
+        with pytest.raises(ValueError, match="path_indices"):
+            rng.normal_block(0, paths, 4)
+
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, 4.0])
+    def test_n_steps_must_be_a_positive_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            rng.normal_block(0, [0], n_steps)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            rng.gaussian_increments(0, [0], 4, dt)
+
+    def test_integer_inputs_of_any_width_accepted(self):
+        want = rng.normal_block(3, [0, 2**63 + 1], 4)
+        for seed in (np.uint64(3), np.int32(3), True + 2):
+            for paths in (np.array([0, 2**63 + 1], dtype=np.uint64),
+                          [np.uint64(0), np.uint64(2**63 + 1)]):
+                assert np.array_equal(rng.normal_block(seed, paths, np.int64(4)), want)
+        assert rng.normal_block(3, np.array([5], dtype=np.int8), 4).shape == (1, 4)
+        assert rng.normal_block(3, 5, 4).shape == (1, 4)
+        assert rng.normal_block(3, [], 4).shape == (0, 4)
 
 
 class TestGaussianIncrements:
@@ -111,3 +136,82 @@ class TestGaussianIncrements:
         a = rng.normal_block(9, [4], 16)[0]
         b = rng.gaussian_increments(9, [4], 16, 0.25)[0]
         assert np.allclose(b, 0.5 * a, rtol=0, atol=0)
+
+
+# Stream pins, taken before the generator was chunked: SHA-256 of the
+# ``normal_block`` and ``gaussian_increments`` bytes for row counts of 1 and
+# one below, at and above the rows of one 2^14-block chunk, with path indices
+# across 2^32 and a seed above 2^63.  Chunk sizes of 1 and 3 blocks must give
+# the same bytes; (1, 100) makes 34 chunks of up to three rows.
+PIN_SEED = 2**63 + 2**32 + 7
+PIN_DT = 0.3
+STREAM_PINS = {
+    (1, 1): ("548dd4c323a0263fc5511b7f9e44d76780ab31ef7b0a59b49f43f49305077e04",
+             "a56bfde7ec18edd718456658061982efb5b564a3f3e2e6b5f0d730de72697406"),
+    (1, 100): ("214137552956f8202d26460e250dd75633f0801035472ee73f83f6078d026235",
+               "b019b2dd5bf4f1305939781e792e89e6fb39708c3b7c10011b04d8e45df92fa2"),
+    (1, 16383): ("ab54409039695292138e6b3b13fa5d0b67de69e68858803f0a4fada059083d46",
+                 "e97796cbab96d4d29bf2d66a372380f6b022a4669b3de5eef2d5c926a7169065"),
+    (1, 16384): ("239a6abb19709741d51733d68a1b70d8e328834b38181f043f580adfb20075c5",
+                 "ca5051a05bde48ced8c3dd1ac971e292744024ef7e610a877d52e137cab0d662"),
+    (1, 16385): ("9c46aa73b7323d71d3f2e0f1d958216fe82cecde970a17212674f98e5e664fc7",
+                 "e3383bdd251dfb32b42219ac67a653aed8898ef4562ccf88533dcbc702fea3c3"),
+    (7, 1): ("bcc0d251982e2b04191af9a0a1f38fabe4de9854fa7c5d4b789a5ac47d90c890",
+             "a21eb57e4c2e0879ac1bb50d0a853464c7cec6454dea605fd20c5411ab1f8439"),
+    (7, 4095): ("6657e5eb9fc09383d6939f3f3a111405de2305cb655f04c01195994b782103e9",
+                "b2e34315763084b0473f5aeeeb787d739f14316e5f22156dd64f69ec70c12ab5"),
+    (7, 4096): ("2ae10086bfdaf8f7d638c262a616ebd0bf07912353393da333dcb82c808e9b08",
+                "dc27b53de3800bbc58123b503208dc3ce111125e7245eade7e7cce2b20925ae5"),
+    (7, 4097): ("1eee7d688842561c9c61dcf7a34deb8255836416288a59eb1096da109f981d58",
+                "4dd28dae5d1ef6473cc9969da8ff31b8c67c8724683ffadc39d49e4b90d5534a"),
+    (33, 1): ("19233342954248031d1d0e16b19421acc056ce6a8f0f9ad5f1a3fe0055e07237",
+              "2f37b1042a11c477283df3e656b5070dddb20bf8b22ccd8d41f067731eb8555c"),
+    (33, 962): ("2e3afe38feba2796956f5434839585241641d031a5a1a813d637fc01c1617a09",
+                "99e2dde990926035619926c6135ada48273a7408de897601332ed68f46fdedc6"),
+    (33, 963): ("be26391a776f55ee2f8f8ed45cfdeb5b2940b2fe6e4b8b19ac828c2e38ccd75c",
+                "61b922aadcc67a7a09d40b8b2e6cbdf635b5117e6391983616305a51bc8d5b0b"),
+    (33, 964): ("1c4254a637bab39493e75d75382bfd3123e6dec477cf44a6b008427497c05888",
+                "a2263690636078432c0f421e9b0672eeb4c5ef1b339e9e8e91c00488e473ebe9"),
+    (512, 1): ("e06235c546b4d9111377f8fd039c76a7741efd81b883bf256767aeff78cb7c5d",
+               "c380a3eaee3da529173ddd2b7a5896a6a0e03ad9caf2079e392394ffb9ca6da8"),
+    (512, 63): ("f38d90e30bbc9f4c70fc687147a2a7e00e73065074f395057e347b433bfd1692",
+                "fd3aff107c55424ef4752072c4115c82b290579ea1ed8532377e2a0bc38acedd"),
+    (512, 64): ("30baad66b259b79984bf16c93ceb02f04e74cb5709bdb35650a7fef4030ef1cd",
+                "e1c6d69714a5a2317c7ce2df7d2fb4619ee663b49a00230ce6dcb1da11c74642"),
+    (512, 65): ("95d14f385af168de1486bed38b1aeb216a7a6d333fbf3efeb35af0a8ac33074a",
+                "dd3b7a4d5093dc24a71722e81b9da6ca3fbfad0d73d8ac273a8f3060de83d3f8"),
+    (513, 1): ("7972de34a2002b8524f9681a2aff732b5cbfee60d1e56a25823d660cef423328",
+               "ac37401e261f18af62aa04a947c3868ed3bf54cb6d92d4401f5fc301560dcdd3"),
+    (513, 62): ("e832f83e4f0e666ed83175aacc932b1a5f964713ef4e8f6f9dba440a868855af",
+                "c0b914587f26ed350a607d26dce6de2c1102d65d9bde3046a383c61d34c6f50b"),
+    (513, 63): ("ea1305a0e46e958832ef69b9385fd7fd3f15cda7457770c0bc567a55700090b3",
+                "7ee33972acbd774d53df20f328cf6c33c1a6c31d7ac7d99e5e5a71260fc86872"),
+    (513, 64): ("7a8de2273313a5ebb5246e977c156cdaad1a6ebcffe9b6801977a0c787efd887",
+                "c6f4978f811855b434ce0575202d196776f525aa32f8ad543fcaabea505ee504"),
+}
+
+
+def _pin_paths(rows):
+    return np.uint64(2**32 - 2) + np.uint64(3) * np.arange(rows, dtype=np.uint64)
+
+
+def _stream_digests(n_steps, rows):
+    paths = _pin_paths(rows)
+    z = rng.normal_block(PIN_SEED, paths, n_steps)
+    dw = rng.gaussian_increments(PIN_SEED, paths, n_steps, PIN_DT)
+    assert z.shape == dw.shape == (rows, n_steps)
+    return (hashlib.sha256(z.tobytes()).hexdigest(),
+            hashlib.sha256(dw.tobytes()).hexdigest())
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("n_steps, rows", sorted(STREAM_PINS))
+    def test_pinned_bytes(self, n_steps, rows):
+        assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2**20])
+    @pytest.mark.parametrize("n_steps, rows", [(1, 100), (7, 1), (33, 964),
+                                               (512, 65), (513, 62)])
+    def test_stream_independent_of_chunk_size(self, monkeypatch, chunk, n_steps, rows):
+        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
+        assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -107,8 +108,9 @@ class TestImplicitStep:
 
     def test_no_convergence_raises(self, problems):
         cfg = SchemeConfig(n_steps=4, fp_tol=1e-16, fp_max_iter=1)
-        with pytest.raises(we.NoConvergence):
+        with pytest.raises(we.NoConvergence) as exc:
             we.implicit_step(problems["tanh"], cfg, 0.25, 0.9, 0.5)
+        assert exc.value.path_index is None  # a scalar state has no worst path
 
     def test_closed_form_rejects_nonaffine(self, problems):
         cfg = SchemeConfig(n_steps=10, solver="closed_form_affine")
@@ -207,6 +209,25 @@ class TestRunPath:
             we.run_paths(p, cfg, incs)
         assert step.value.path_index == 3
         assert (run.value.step_index, run.value.path_index) == (0, 3)
+
+    # SHA-256 of run_paths(keep_path=True) on a 2000 x 64 tanh batch, pinned
+    # before the fixed-point loop stopped forming h |b(y_next) - b(y)| arrays.
+    TANH_PATH_SHA256 = {
+        ("implicit", "fixed_point"):
+            "6bd0419d9651be777f46438302e3d725e3f47e03f034b1e361fc1617498b6940",
+        ("implicit", "newton"):
+            "10536e08b2fb8a40a05fb5ae1d1e110c82faad63f9cf3fe7c417d790f39a5220",
+        ("explicit", "fixed_point"):
+            "0e919e645bd95381deef3a9cb123fc8b427f3853ed4b41bedf705c13c10d81c6",
+    }
+
+    @pytest.mark.parametrize("kind, solver", sorted(TANH_PATH_SHA256))
+    def test_tanh_batch_bytes_pinned(self, problems, kind, solver):
+        p = problems["tanh"]
+        incs = we.rng.gaussian_increments(5, np.arange(2000), 64, p.horizon / 64)
+        cfg = SchemeConfig(n_steps=64, kind=kind, solver=solver)
+        out = we.run_paths(p, cfg, incs, keep_path=True)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.TANH_PATH_SHA256[kind, solver]
 
     def test_run_paths_matches_run_path(self, problems):
         p = problems["gbm"]
