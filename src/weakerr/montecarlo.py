@@ -8,6 +8,13 @@ would.  Streams are counter-based (see :mod:`weakerr.rng`): a report is a
 bitwise-deterministic function of (problem, McConfig, scheme settings),
 independent of batch execution order or worker count.
 
+Each simulated level's increments are handed to :func:`run_paths`
+step-major (Fortran order), one level alive at a time, so that every step
+reads one contiguous row; the antithetic pass negates that array in place.
+Elementwise arithmetic does not depend on memory order, so the layout
+cannot change a result (the tests pin the same bytes for C-ordered,
+Fortran-ordered and strided increments).
+
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
 whose own bias is O(h_fine^2) after the Richardson correction.
@@ -31,6 +38,9 @@ SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14
+# Doubles of the fine batch coarsened per chunk of rows, so that each chunk
+# is still in cache when it is stored into the step-major level array.
+_CHUNK = 1 << 15
 # Surrogate references need finest_n >= SURROGATE_MARGIN * the largest
 # level, so that the fine grid is well separated from the levels it judges.
 SURROGATE_MARGIN = 8
@@ -128,6 +138,21 @@ def _coarsen(fine: np.ndarray, n_steps: int) -> np.ndarray:
     return fine.reshape(fine.shape[0], n_steps, m).sum(axis=2)
 
 
+def _step_major(fine: np.ndarray, n_steps: int) -> np.ndarray:
+    """``_coarsen(fine, n_steps)`` as a new Fortran-ordered array.
+
+    It never aliases ``fine``, so the antithetic pass may negate it in place.
+    Rows are coarsened a chunk at a time by the same reshape-sum, so every
+    coarse increment keeps its summation order and its bits.
+    """
+    rows = fine.shape[0]
+    out = np.empty((rows, n_steps), order="F")
+    chunk = max(1, _CHUNK // fine.shape[1])
+    for lo in range(0, rows, chunk):
+        out[lo:lo + chunk] = _coarsen(fine[lo:lo + chunk], n_steps)
+    return out
+
+
 def _n_workers() -> int:
     """The worker cap from ``WEAKERR_THREADS`` (default 1)."""
     text = os.environ.get("WEAKERR_THREADS", "1")
@@ -179,16 +204,18 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
         vals = []
         for cfg in configs:
-            coarse = _coarsen(fine, cfg.n_steps)
+            coarse = _step_major(fine, cfg.n_steps)
             try:
                 v = payoffs(cfg, coarse)
                 if mc.antithetic:
-                    v = 0.5 * (v + payoffs(cfg, -coarse))
+                    np.negative(coarse, out=coarse)
+                    v = 0.5 * (v + payoffs(cfg, coarse))
             except NoConvergence as err:
                 path = lo + (err.path_index or 0)
                 raise NoConvergence(
                     f"level {cfg.n_steps}, path {path}: {err}",
                     step_index=err.step_index, path_index=path) from err
+            del coarse  # one level alive at a time
             vals.append(v)
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]

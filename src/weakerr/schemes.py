@@ -112,7 +112,7 @@ def check_step_size(p: Problem, cfg: SchemeConfig) -> float:
 def resolvent_den(b_prime, h: float):
     """1 - h b' from values of b'; raises SingularSh where it is near zero."""
     den = 1.0 - h * b_prime
-    if np.min(np.abs(den)) < _SINGULAR_TOL:
+    if np.minimum.reduce(np.abs(den), axis=None) < _SINGULAR_TOL:
         raise SingularSh(f"1 - h b' within {_SINGULAR_TOL} of zero")
     return den
 
@@ -154,7 +154,7 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         for it in range(cfg.fp_max_iter):
             b = p.b_jet(y, order=1)
             res = y - h * b.value() - xi
-            if np.max(np.abs(res)) <= cfg.fp_tol:
+            if np.maximum.reduce(np.abs(res), axis=None) <= cfg.fp_tol:
                 return y, it
             y = y - res / resolvent_den(b.deriv(1), h)
         raise NoConvergence(
@@ -165,13 +165,15 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     # h |b(y_i) - b(y_{i+1})|, so one drift evaluation per iteration suffices.
     # Rounding is monotone, so h * max|db| <= tol decides as max(h |db|) <= tol
     # would, without forming h |db| until a failure needs its worst path.
+    # The convergence tests here and in resolvent_den call the ufunc reductions
+    # (axis=None also takes 0-d states) without np.max's Python wrapper.
     y = xi if start is None else start
     by = p.b_jet(y, order=0).value()
     for it in range(cfg.fp_max_iter):
         y_next = xi + h * by
         by_next = p.b_jet(y_next, order=0).value()
         db = np.abs(by_next - by)
-        if h * np.max(db) <= cfg.fp_tol:
+        if h * np.maximum.reduce(db, axis=None) <= cfg.fp_tol:
             return y_next, it + 1
         y, by = y_next, by_next
     raise NoConvergence(
@@ -182,8 +184,10 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
 def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False):
     """Advance a whole ensemble; rows of ``increments`` are independent paths.
 
-    Returns the terminal values (default) or, with ``keep_path``, the full
-    (n_paths, N+1) array.
+    Step k reads column k, which is contiguous when ``increments`` is
+    step-major (Fortran order), as :mod:`weakerr.montecarlo` hands its levels
+    over.  Any memory order gives the same bytes.  Returns the terminal values
+    (default) or, with ``keep_path``, the full (n_paths, N+1) array.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[1] != cfg.n_steps:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -182,6 +183,37 @@ class TestEstimateWeakError:
         assert exc.value.step_index == rows.min()
         assert exc.value.path_index == 100 * batch + int(np.argmin(rows))
         assert f"path {exc.value.path_index}: step {rows.min()}: " in str(exc.value)
+
+
+class TestMultiBatchPins:
+    """SHA-256 of the estimate, stderr and covariance bytes of runs that span
+    more than one batch, pinned before levels were stored step-major."""
+
+    @staticmethod
+    def _digest(rep):
+        h = hashlib.sha256()
+        h.update(np.array([lv.estimate for lv in rep.levels]).tobytes())
+        h.update(np.array([lv.stderr for lv in rep.levels]).tobytes())
+        h.update(rep.covariance.tobytes())
+        return h.hexdigest()
+
+    def test_tanh_two_batches_with_remainder(self, problems):
+        # 2^14 + 37 antithetic pairs: a full batch and a 37-unit remainder,
+        # on 512-step rows with the surrogate levels 256 and 512
+        mc = McConfig(levels=(16, 32, 64), n_paths=2 * ((1 << 14) + 37), seed=314)
+        rep = estimate_weak_error(problems["tanh"], mc, "implicit")
+        assert rep.n_units == (1 << 14) + 37 and rep.reference_source == "surrogate"
+        assert self._digest(rep) == (
+            "ab73016dd08033ae7484340dc0326de85c16c881d6c1f87705eaa570065ca772")
+
+    def test_ou_without_antithetic_at_the_finest_level(self, problems):
+        # finest_n is the largest level, so level 64 runs the fine batch itself
+        mc = McConfig(levels=(8, 16, 64), n_paths=2 * (1 << 14) + 37, seed=315,
+                      finest_n=64, antithetic=False)
+        rep = estimate_weak_error(problems["ou"], mc, "implicit")
+        assert rep.n_units == 2 * (1 << 14) + 37
+        assert self._digest(rep) == (
+            "f18419531e310d46a0f739b5b88b56913672dd5479edc3f676404169aba71b0d")
 
 
 class TestCrnCoupling:

@@ -229,6 +229,31 @@ class TestRunPath:
         out = we.run_paths(p, cfg, incs, keep_path=True)
         assert hashlib.sha256(out.tobytes()).hexdigest() == self.TANH_PATH_SHA256[kind, solver]
 
+    # closed_form_affine on ou, same increments; pinned before Monte Carlo
+    # levels were handed to run_paths step-major.
+    OU_CLOSED_FORM_SHA256 = "e71f3114c6f6c18d936ce867fc1c175470de7e422971e6b870530422f404e8dd"
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("name, kind, solver", [
+        ("tanh", "implicit", "fixed_point"), ("tanh", "implicit", "newton"),
+        ("tanh", "explicit", "fixed_point"), ("ou", "implicit", "closed_form_affine")])
+    def test_memory_order_cannot_change_a_bit(self, problems, name, kind, solver, layout):
+        p = problems[name]
+        incs = we.rng.gaussian_increments(5, np.arange(2000), 64, p.horizon / 64)
+        if layout == "F":
+            incs = np.asfortranarray(incs)
+            assert not incs.flags.c_contiguous
+        elif layout == "strided":
+            wide = np.zeros((2000, 128))
+            wide[:, ::2] = incs
+            incs = wide[:, ::2]  # every other column of a wider array
+            assert not (incs.flags.c_contiguous or incs.flags.f_contiguous)
+        cfg = SchemeConfig(n_steps=64, kind=kind, solver=solver)
+        out = we.run_paths(p, cfg, incs, keep_path=True)
+        want = (self.OU_CLOSED_FORM_SHA256 if name == "ou"
+                else self.TANH_PATH_SHA256[kind, solver])
+        assert hashlib.sha256(out.tobytes()).hexdigest() == want
+
     def test_run_paths_matches_run_path(self, problems):
         p = problems["gbm"]
         cfg = SchemeConfig(n_steps=8)
