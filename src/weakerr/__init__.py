@@ -33,6 +33,7 @@ from .schemes import (
     StepSizeError,
     explicit_step,
     implicit_step,
+    iter_paths,
     pathwise_derivative_check,
     run_paths,
     s_h,
@@ -95,6 +96,7 @@ __all__ = [
     "gbm_family_problem",
     "get_problem",
     "implicit_step",
+    "iter_paths",
     "jet_add",
     "jet_derive",
     "jet_mul",

@@ -171,10 +171,14 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
 
     ``kind`` selects the scheme; implicit steps use ``solver`` (closed form
     for affine drifts unless overridden) with the :class:`SchemeConfig`
-    ``settings`` given (``fp_tol``, ``fp_max_iter``).  With antithetic
-    sampling the statistical unit is the (+dW, -dW) pair.  A derived finest
-    grid is the largest level, times SURROGATE_MARGIN for a surrogate reference.
+    ``settings`` given (``fp_tol``, ``fp_max_iter``); explicit steps refuse
+    both.  With antithetic sampling the statistical unit is the (+dW, -dW)
+    pair.  A derived finest grid is the largest level, times SURROGATE_MARGIN
+    for a surrogate reference.
     """
+    given = ([] if solver is None else ["solver"]) + list(settings)
+    if kind == "explicit" and given:
+        raise ValueError(f"the explicit scheme solves no implicit step; got {', '.join(given)}")
     if solver is None:
         solver = "closed_form_affine" if p.affine is not None else "fixed_point"
     levels = mc.levels

@@ -84,12 +84,14 @@ def _check_paths(path_indices) -> np.ndarray:
     return np.atleast_1d(paths.astype(np.uint64))
 
 
-def _normals(seed, path_indices, n_steps, scale=None) -> np.ndarray:
-    """Standard normals of shape (n_paths, n_steps), times ``scale`` if given.
+def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.ndarray:
+    """Brownian increments N(0, dt), shape (n_paths, n_steps); dt = 1.0 gives N(0, 1).
 
     Each chunk of rows runs the whole chain -- counters, Philox rounds, 53-bit
-    uniforms, inverse CDF -- straight into its rows of the output.
+    uniforms, inverse CDF, times sqrt(dt) -- straight into its rows of the output.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not is_count(n_steps):
         raise ValueError("n_steps must be a positive integer")
     if not is_uint64(seed):
@@ -99,6 +101,7 @@ def _normals(seed, path_indices, n_steps, scale=None) -> np.ndarray:
     n_blocks = (n_steps + 1) // 2
     blocks = np.arange(n_blocks, dtype=np.uint64)
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
+    scale = np.sqrt(dt)
     out = np.empty((paths.size, n_steps))
     for lo in range(0, paths.size, rows):
         chunk = paths[lo:lo + rows, None]
@@ -124,18 +127,5 @@ def _normals(seed, path_indices, n_steps, scale=None) -> np.ndarray:
         z += 0.5
         z *= 2.0**-53
         ndtri(z, out=z)
-        if scale is not None:
-            z *= scale
+        z *= scale
     return out
-
-
-def normal_block(seed: int, path_indices, n_steps: int) -> np.ndarray:
-    """Standard normal draws, one row per entry of ``path_indices``."""
-    return _normals(seed, path_indices, n_steps)
-
-
-def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.ndarray:
-    """Brownian increments N(0, dt), shape (n_paths, n_steps)."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    return _normals(seed, path_indices, n_steps, np.sqrt(dt))

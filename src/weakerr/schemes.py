@@ -181,36 +181,39 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         path_index=_worst_index(h * db))
 
 
-def run_paths(p: Problem, cfg: SchemeConfig, increments, keep_path: bool = False):
-    """Advance a whole ensemble; rows of ``increments`` are independent paths.
+def iter_paths(p: Problem, cfg: SchemeConfig, increments):
+    """Advance a whole ensemble, yielding its (n_paths,) state after each of the N steps.
 
-    Step k reads column k, which is contiguous when ``increments`` is
-    step-major (Fortran order), as :mod:`weakerr.montecarlo` hands its levels
-    over.  Any memory order gives the same bytes.  Returns the terminal values
-    (default) or, with ``keep_path``, the full (n_paths, N+1) array.
+    Rows of ``increments`` are paths; the shape check and the step-size guard
+    run at the call.  Step k reads column k, contiguous when ``increments`` is
+    step-major (Fortran order) as :mod:`weakerr.montecarlo` hands its levels
+    over; any memory order gives the same bytes.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[1] != cfg.n_steps:
         raise ValueError(f"expected (n_paths, {cfg.n_steps}) increments, "
                          f"got shape {increments.shape}")
     h = check_step_size(p, cfg)
-    x = np.full(increments.shape[0], p.x0)
-    path = None
-    if keep_path:
-        path = np.empty((increments.shape[0], cfg.n_steps + 1))
-        path[:, 0] = x
-    for k in range(cfg.n_steps):
-        try:
-            if cfg.kind == "explicit":
-                x = explicit_step(p, h, x, increments[:, k])
-            else:
-                x, _ = implicit_step(p, cfg, h, x, increments[:, k])
-        except NoConvergence as err:
-            raise NoConvergence(f"step {k}: {err}", step_index=k,
-                                path_index=err.path_index) from err
-        if keep_path:
-            path[:, k + 1] = x
-    return path if keep_path else x
+
+    def steps(x):
+        for k in range(cfg.n_steps):
+            try:
+                if cfg.kind == "explicit":
+                    x = explicit_step(p, h, x, increments[:, k])
+                else:
+                    x, _ = implicit_step(p, cfg, h, x, increments[:, k])
+            except NoConvergence as err:
+                raise NoConvergence(f"step {k}: {err}", step_index=k,
+                                    path_index=err.path_index) from err
+            yield x
+    return steps(np.full(increments.shape[0], p.x0))
+
+
+def run_paths(p: Problem, cfg: SchemeConfig, increments):
+    """The terminal states of :func:`iter_paths`, one per row of ``increments``."""
+    for x in iter_paths(p, cfg, increments):
+        pass
+    return x
 
 
 def pathwise_derivative_check(p: Problem, cfg: SchemeConfig, h: float, x, dw,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Tolerances are pinned here, not configurable.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -74,16 +75,14 @@ def test_criterion_02_first_order_expansion(problems):
             f"psi_e control slope={control.residual_fit.slope:.3f}")
 
 
-def test_criterion_03_scheme_coincidence_at_zero_drift(problems):
+def test_criterion_03_scheme_coincidence_at_zero_drift(problems, full_paths):
     """For b = 0 the two schemes produce identical paths and zero weak error."""
     p = problems["bm"]
     mc = McConfig(n_paths=100_000, seed=314, finest_n=64, levels=(8, 16, 64))
     incs = rng.gaussian_increments(mc.seed, np.arange(200, dtype=np.uint64), 64,
                                    p.horizon / 64)
-    expl = we.run_paths(p, SchemeConfig(n_steps=64, kind="explicit"), incs,
-                        keep_path=True)
-    impl = we.run_paths(p, SchemeConfig(n_steps=64, kind="implicit"), incs,
-                        keep_path=True)
+    expl = full_paths(p, SchemeConfig(n_steps=64, kind="explicit"), incs)
+    impl = full_paths(p, SchemeConfig(n_steps=64, kind="implicit"), incs)
     bitwise = np.array_equal(expl, impl)
 
     rep = estimate_weak_error(p, mc, "implicit")
@@ -225,7 +224,11 @@ def test_criterion_08_richardson_second_order(problems):
 
 
 def _sup_moments(p, n_steps, n_paths, seed):
-    """sup over grid points of E|X_k|^p for p in (2, 4, 8), by streaming batches."""
+    """sup over grid points of E|X_k|^p for p in (2, 4, 8), by streaming batches.
+
+    Reads the states of ``iter_paths``, the stepper behind Monte Carlo, one
+    step at a time: a whole 25000 x 513 batch of paths would take 103 MB.
+    """
     cfg = SchemeConfig(n_steps=n_steps)
     h = check_step_size(p, cfg)
     sums = np.zeros((n_steps + 1, 3))
@@ -234,17 +237,11 @@ def _sup_moments(p, n_steps, n_paths, seed):
         n = min(batch, n_paths - lo)
         incs = rng.gaussian_increments(seed, np.arange(lo, lo + n, dtype=np.uint64),
                                        n_steps, h)
-        x = np.full(n, p.x0)
-
-        def accumulate(k, x):
+        states = we.iter_paths(p, cfg, incs)
+        for k, x in enumerate(itertools.chain([np.full(n, p.x0)], states)):
             x2 = x * x
             x4 = x2 * x2
             sums[k] += (x2.sum(), x4.sum(), (x4 * x4).sum())
-
-        accumulate(0, x)
-        for k in range(n_steps):
-            x, _ = we.implicit_step(p, cfg, h, x, incs[:, k])
-            accumulate(k + 1, x)
     return (sums / n_paths).max(axis=0)
 
 

@@ -269,6 +269,28 @@ class TestMc:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.count("\n") == 1 and "fp_tol" in err
 
+    MC_COMMANDS = [("mc",), ("richardson", "--estimator", "mc")]
+
+    @pytest.mark.parametrize("command", MC_COMMANDS, ids=["mc", "richardson"])
+    @pytest.mark.parametrize("flags, names", [
+        (("--solver", "newton"), ["solver"]),
+        (("--fp-tol", "1e-9"), ["fp_tol"]),
+        (("--fp-max-iter", "5"), ["fp_max_iter"]),
+        (("--solver", "fp", "--fp-tol", "1e-9", "--fp-max-iter", "5"),
+         ["solver", "fp_tol", "fp_max_iter"]),
+    ])
+    def test_explicit_scheme_refuses_solver_flags(self, capsys, command, flags, names):
+        code, out, err = run_cli(capsys, *command, "--problem", "ou", "--scheme", "explicit",
+                                 "--levels", "8,16", "--paths", "100", *flags)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1
+        assert all(name in err for name in names)
+
+    @pytest.mark.parametrize("command", MC_COMMANDS, ids=["mc", "richardson"])
+    def test_explicit_scheme_runs_without_solver_flags(self, capsys, command):
+        assert run_cli(capsys, *command, "--problem", "ou", "--scheme", "explicit",
+                       "--levels", "8,16", "--paths", "100")[0] == EXIT_OK
+
     def test_malformed_thread_count_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WEAKERR_THREADS", "abc")
         code, out, err = run_cli(capsys, "mc", "--problem", "ou", "--levels", "8",

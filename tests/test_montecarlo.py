@@ -110,6 +110,18 @@ class TestEstimateWeakError:
                                      SchemeConfig(n_steps=32, kind="explicit"))
         assert abs(rep.levels[0].estimate - oracle) <= 4.0 * rep.levels[0].stderr
 
+    @pytest.mark.parametrize("given", [
+        {"solver": "newton"}, {"solver": "fixed_point"}, {"fp_tol": 1e-9},
+        {"fp_max_iter": 5},
+        {"solver": "closed_form_affine", "fp_tol": 1e-9, "fp_max_iter": 5},
+    ])
+    def test_explicit_kind_refuses_solver_settings(self, problems, given):
+        # the explicit scheme solves no implicit step, so it could only ignore them
+        mc = McConfig(n_paths=200, seed=1, finest_n=16, levels=(16,))
+        with pytest.raises(ValueError, match="explicit") as exc:
+            estimate_weak_error(problems["ou"], mc, "explicit", **given)
+        assert all(name in str(exc.value) for name in given)
+
     def test_antithetic_toggle(self, problems):
         base = dict(n_paths=20_000, seed=9, finest_n=16, levels=(16,))
         on = estimate_weak_error(problems["ou"], McConfig(**base), "implicit")

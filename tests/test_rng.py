@@ -54,30 +54,35 @@ class TestPhilox:
             assert tuple(int(w[i]) for w in got) == want
 
 
-class TestNormalBlock:
+def normals(seed, path_indices, n_steps):
+    """Standard normals: increments with dt = 1.0, since z * 1.0 is exact."""
+    return rng.gaussian_increments(seed, path_indices, n_steps, 1.0)
+
+
+class TestStandardNormals:
     def test_deterministic(self):
-        a = rng.normal_block(42, np.arange(8), 33)
-        b = rng.normal_block(42, np.arange(8), 33)
+        a = normals(42, np.arange(8), 33)
+        b = normals(42, np.arange(8), 33)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_and_seeds(self):
-        block = rng.normal_block(42, [0, 1], 64)
+        block = normals(42, [0, 1], 64)
         assert not np.array_equal(block[0], block[1])
-        other = rng.normal_block(43, [0], 64)[0]
+        other = normals(43, [0], 64)[0]
         assert not np.array_equal(block[0], other)
 
     def test_path_rows_independent_of_batch_layout(self):
-        whole = rng.normal_block(7, np.arange(10), 16)
+        whole = normals(7, np.arange(10), 16)
         for i in range(10):
-            assert np.array_equal(whole[i], rng.normal_block(7, [i], 16)[0])
+            assert np.array_equal(whole[i], normals(7, [i], 16)[0])
 
     def test_all_finite_and_reasonable_range(self):
-        z = rng.normal_block(0, np.arange(64), 512)
+        z = normals(0, np.arange(64), 512)
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(z)) < 9.0  # |z| > 9 has probability ~1e-19 per draw
 
     def test_moments(self):
-        z = rng.normal_block(11, np.arange(2048), 512).ravel()
+        z = normals(11, np.arange(2048), 512).ravel()
         n = z.size
         assert abs(z.mean()) <= 4.0 / math.sqrt(n)
         assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
@@ -86,27 +91,27 @@ class TestNormalBlock:
 
     def test_odd_step_count(self):
         # exercises the half-block tail
-        z = rng.normal_block(5, [3], 7)
+        z = normals(5, [3], 7)
         assert z.shape == (1, 7)
-        z9 = rng.normal_block(5, [3], 9)
+        z9 = normals(5, [3], 9)
         assert np.array_equal(z9[0, :7], z[0])
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), 2**64, -1, "7"])
     def test_seed_must_be_a_64_bit_integer(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            rng.normal_block(seed, [0], 4)
+            normals(seed, [0], 4)
 
     @pytest.mark.parametrize("paths", [np.array([3, -1], dtype=np.int64), [-1], [0.7],
                                        np.array([1.0, 2.0]), [2**64, 0],
                                        [[0, 1], [2, 3]]])
     def test_path_indices_must_be_nonnegative_integers(self, paths):
         with pytest.raises(ValueError, match="path_indices"):
-            rng.normal_block(0, paths, 4)
+            normals(0, paths, 4)
 
     @pytest.mark.parametrize("n_steps", [0, -3, 2.5, 4.0])
     def test_n_steps_must_be_a_positive_integer(self, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
-            rng.normal_block(0, [0], n_steps)
+            normals(0, [0], n_steps)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.25])
     def test_dt_must_be_positive_and_finite(self, dt):
@@ -114,14 +119,14 @@ class TestNormalBlock:
             rng.gaussian_increments(0, [0], 4, dt)
 
     def test_integer_inputs_of_any_width_accepted(self):
-        want = rng.normal_block(3, [0, 2**63 + 1], 4)
+        want = normals(3, [0, 2**63 + 1], 4)
         for seed in (np.uint64(3), np.int32(3), True + 2):
             for paths in (np.array([0, 2**63 + 1], dtype=np.uint64),
                           [np.uint64(0), np.uint64(2**63 + 1)]):
-                assert np.array_equal(rng.normal_block(seed, paths, np.int64(4)), want)
-        assert rng.normal_block(3, np.array([5], dtype=np.int8), 4).shape == (1, 4)
-        assert rng.normal_block(3, 5, 4).shape == (1, 4)
-        assert rng.normal_block(3, [], 4).shape == (0, 4)
+                assert np.array_equal(normals(seed, paths, np.int64(4)), want)
+        assert normals(3, np.array([5], dtype=np.int8), 4).shape == (1, 4)
+        assert normals(3, 5, 4).shape == (1, 4)
+        assert normals(3, [], 4).shape == (0, 4)
 
 
 class TestGaussianIncrements:
@@ -133,16 +138,17 @@ class TestGaussianIncrements:
         assert abs(z.var() / dt - 1.0) <= 0.01
 
     def test_scaling(self):
-        a = rng.normal_block(9, [4], 16)[0]
+        a = normals(9, [4], 16)[0]
         b = rng.gaussian_increments(9, [4], 16, 0.25)[0]
         assert np.allclose(b, 0.5 * a, rtol=0, atol=0)
 
 
 # Stream pins, taken before the generator was chunked: SHA-256 of the
-# ``normal_block`` and ``gaussian_increments`` bytes for row counts of 1 and
-# one below, at and above the rows of one 2^14-block chunk, with path indices
-# across 2^32 and a seed above 2^63.  Chunk sizes of 1 and 3 blocks must give
-# the same bytes; (1, 100) makes 34 chunks of up to three rows.
+# ``gaussian_increments`` bytes at dt = 1.0 (the standard normals) and at
+# dt = PIN_DT, for row counts of 1 and one below, at and above the rows of
+# one 2^14-block chunk, with path indices across 2^32 and a seed above 2^63.
+# Chunk sizes of 1 and 3 blocks must give the same bytes; (1, 100) makes 34
+# chunks of up to three rows.
 PIN_SEED = 2**63 + 2**32 + 7
 PIN_DT = 0.3
 STREAM_PINS = {
@@ -197,7 +203,7 @@ def _pin_paths(rows):
 
 def _stream_digests(n_steps, rows):
     paths = _pin_paths(rows)
-    z = rng.normal_block(PIN_SEED, paths, n_steps)
+    z = normals(PIN_SEED, paths, n_steps)
     dw = rng.gaussian_increments(PIN_SEED, paths, n_steps, PIN_DT)
     assert z.shape == dw.shape == (rows, n_steps)
     return (hashlib.sha256(z.tobytes()).hexdigest(),

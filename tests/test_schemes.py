@@ -160,17 +160,18 @@ class TestContraction:
                 err_prev = err
 
 
-def run_path(p, cfg, increments):
-    """One path through ``run_paths``: its N+1 grid values."""
-    return we.run_paths(p, cfg, np.atleast_2d(increments), keep_path=True)[0]
+@pytest.fixture
+def run_path(full_paths):
+    """One path through ``iter_paths``: its N+1 grid values."""
+    return lambda p, cfg, increments: full_paths(p, cfg, np.atleast_2d(increments))[0]
 
 
 class TestRunPath:
-    def test_constant_path_for_zero_increments(self, problems):
+    def test_constant_path_for_zero_increments(self, problems, run_path):
         out = run_path(problems["bm"], SchemeConfig(n_steps=5), np.zeros(5))
         assert np.array_equal(out, np.zeros(6))
 
-    def test_single_explicit_step(self, problems):
+    def test_single_explicit_step(self, problems, run_path):
         # gbm keeps h * lip_b inside the guard even at N = 1
         p = problems["gbm"]
         cfg = SchemeConfig(n_steps=1, kind="explicit")
@@ -178,26 +179,33 @@ class TestRunPath:
         assert out[0] == p.x0
         assert out[1] == we.explicit_step(p, 1.0, p.x0, 0.3)
 
-    def test_solvers_agree_along_paths(self, problems):
+    def test_solvers_agree_along_paths(self, problems, run_path):
         p = problems["ou"]
         incs = np.random.default_rng(4).normal(0, 0.25, 16)
         path_fp = run_path(p, SchemeConfig(n_steps=16, solver="fixed_point"), incs)
         path_cf = run_path(p, SchemeConfig(n_steps=16, solver="closed_form_affine"), incs)
         assert np.max(np.abs(path_fp - path_cf)) <= 16 * 1e-12
 
-    def test_wrong_length_rejected(self, problems):
+    def test_wrong_length_rejected(self, problems, run_path):
         with pytest.raises(ValueError):
             run_path(problems["bm"], SchemeConfig(n_steps=4), np.zeros(5))
 
-    def test_step_guard_applies(self, problems):
+    def test_step_guard_applies(self, problems, run_path):
         with pytest.raises(we.StepSizeError):
             run_path(problems["tanh"], SchemeConfig(n_steps=1), [0.1])
 
-    def test_failure_reports_step_index(self, problems):
+    def test_failure_reports_step_index(self, problems, run_path):
         cfg = SchemeConfig(n_steps=4, fp_tol=1e-16, fp_max_iter=1)
         with pytest.raises(we.NoConvergence) as exc:
             run_path(problems["tanh"], cfg, [0.5, 0.5, 0.5, 0.5])
         assert exc.value.step_index == 0
+
+    def test_iter_paths_checks_at_the_call(self, problems):
+        # refused when the generator is made, before any state is asked for
+        with pytest.raises(ValueError):
+            we.iter_paths(problems["bm"], SchemeConfig(n_steps=4), np.zeros((1, 5)))
+        with pytest.raises(we.StepSizeError):
+            we.iter_paths(problems["tanh"], SchemeConfig(n_steps=1), [[0.1]])
 
     def test_failure_reports_worst_path(self, problems):
         p = problems["tanh"]
@@ -210,7 +218,7 @@ class TestRunPath:
         assert step.value.path_index == 3
         assert (run.value.step_index, run.value.path_index) == (0, 3)
 
-    # SHA-256 of run_paths(keep_path=True) on a 2000 x 64 tanh batch, pinned
+    # SHA-256 of the full (2000, 65) grid of a 2000 x 64 tanh batch, pinned
     # before the fixed-point loop stopped forming h |b(y_next) - b(y)| arrays.
     TANH_PATH_SHA256 = {
         ("implicit", "fixed_point"):
@@ -222,11 +230,11 @@ class TestRunPath:
     }
 
     @pytest.mark.parametrize("kind, solver", sorted(TANH_PATH_SHA256))
-    def test_tanh_batch_bytes_pinned(self, problems, kind, solver):
+    def test_tanh_batch_bytes_pinned(self, problems, kind, solver, full_paths):
         p = problems["tanh"]
         incs = we.rng.gaussian_increments(5, np.arange(2000), 64, p.horizon / 64)
         cfg = SchemeConfig(n_steps=64, kind=kind, solver=solver)
-        out = we.run_paths(p, cfg, incs, keep_path=True)
+        out = full_paths(p, cfg, incs)
         assert hashlib.sha256(out.tobytes()).hexdigest() == self.TANH_PATH_SHA256[kind, solver]
 
     # closed_form_affine on ou, same increments; pinned before Monte Carlo
@@ -237,7 +245,8 @@ class TestRunPath:
     @pytest.mark.parametrize("name, kind, solver", [
         ("tanh", "implicit", "fixed_point"), ("tanh", "implicit", "newton"),
         ("tanh", "explicit", "fixed_point"), ("ou", "implicit", "closed_form_affine")])
-    def test_memory_order_cannot_change_a_bit(self, problems, name, kind, solver, layout):
+    def test_memory_order_cannot_change_a_bit(self, problems, full_paths, name, kind, solver,
+                                              layout):
         p = problems[name]
         incs = we.rng.gaussian_increments(5, np.arange(2000), 64, p.horizon / 64)
         if layout == "F":
@@ -249,30 +258,31 @@ class TestRunPath:
             incs = wide[:, ::2]  # every other column of a wider array
             assert not (incs.flags.c_contiguous or incs.flags.f_contiguous)
         cfg = SchemeConfig(n_steps=64, kind=kind, solver=solver)
-        out = we.run_paths(p, cfg, incs, keep_path=True)
+        out = full_paths(p, cfg, incs)
         want = (self.OU_CLOSED_FORM_SHA256 if name == "ou"
                 else self.TANH_PATH_SHA256[kind, solver])
         assert hashlib.sha256(out.tobytes()).hexdigest() == want
 
-    def test_run_paths_matches_run_path(self, problems):
+    def test_run_paths_matches_run_path(self, problems, run_path, full_paths):
         p = problems["gbm"]
         cfg = SchemeConfig(n_steps=8)
         incs = np.random.default_rng(5).normal(0, 0.35, (6, 8))
-        full = we.run_paths(p, cfg, incs, keep_path=True)
+        full = full_paths(p, cfg, incs)
+        assert full.shape == (6, 9) and full.flags.c_contiguous
         for i in range(6):
             assert full[i, 0] == p.x0
             assert np.array_equal(full[i], run_path(p, cfg, incs[i]))
         terminal = we.run_paths(p, cfg, incs)
         assert np.array_equal(terminal, full[:, -1])
 
-    def test_moment_boundedness_smoke(self, problems):
+    def test_moment_boundedness_smoke(self, problems, full_paths):
         # full 1e5-path sweep lives in the acceptance suite
         p = problems["tanh"]
         rng = np.random.default_rng(6)
         sups = []
         for n in (8, 64):
             incs = rng.normal(0, math.sqrt(p.horizon / n), (2000, n))
-            path = we.run_paths(p, SchemeConfig(n_steps=n), incs, keep_path=True)
+            path = full_paths(p, SchemeConfig(n_steps=n), incs)
             sups.append(np.max(np.mean(path**4, axis=0)))
         assert max(sups) / min(sups) < 2.0
 
