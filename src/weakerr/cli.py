@@ -162,7 +162,8 @@ def _cmd_psi(args, p: Problem) -> None:
         raise ValueError(f"--grid needs at least 1x1 points, got {args.grid!r}")
     ts = np.linspace(0.0, p.horizon * (1 - 1e-3), nt)
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
-    rows = [(t, x, v) for t in ts for x, v in zip(xs, psi_at(p, kind, float(t), xs))]
+    grid = psi_at(p, kind, ts[:, None], xs)
+    rows = [(t, x, v) for t, row in zip(ts, grid) for x, v in zip(xs, row)]
     if not all(math.isfinite(v) for _, _, v in rows):
         raise FloatingPointError("the psi table holds a non-finite value")
     text_rows = [",".join(repr(float(v)) for v in row) for row in rows]

@@ -30,9 +30,12 @@ Gauss-Legendre panels in time crossed with Gauss-Hermite in space under the
 exact marginal law.
 
 The densities accept jets whose slots are arrays (a batch of points, see
-:mod:`weakerr.jets`) and then return an array, so one call covers all
-Gauss-Hermite nodes of a time node.  Squares go through ``np.float_power``
-rather than ``**``: numpy computes an array ``v**2`` as ``v*v``, which rounds
+:mod:`weakerr.jets`) and then return an array, so one call covers the
+Gauss-Hermite nodes of 64 time nodes, as a (time, space) grid.  Each time
+node's law and u coefficients come from scalar code, since an array ``exp``
+over the times rounds differently, and the sums run in the order of a loop
+over scalar nodes.  Squares go through ``np.float_power`` rather than
+``**``: numpy computes an array ``v**2`` as ``v*v``, which rounds
 differently from the C library's ``pow`` that a float ``v**2`` calls, and
 the batch must reproduce the scalar values bit for bit.
 """
@@ -61,6 +64,11 @@ _GH_Z, _GH_W = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
 _GH_W = _GH_W / _GH_W.sum()
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_PER_PANEL)
+
+# Time nodes per expect_psi call.  One call amortises the jet algebra over a
+# (64, 64) grid and adds about 0.5 MB to the peak memory of the per-node
+# loop; all 1024 nodes of a 128-panel integral at once would add about 11 MB.
+_T_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -220,35 +228,55 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
 # integration against the exact law of X_t
 # ---------------------------------------------------------------------------
 
-def psi_at(p: Problem, kind: PsiKind, t: float, x):
+def psi_at(p: Problem, kind: PsiKind, t, x):
     """The selected density at (t, x) using the problem's coefficient jets.
 
-    ``x`` may be an array of points; the result is then the array of values.
+    ``x`` may be an array of points, and ``t`` an array of times that
+    broadcasts against it; the result is then the array of values.
     """
     if p.u_jet is None:
         raise ValueError(f"problem {p.name!r} has no closed-form u")
     return eval_psi(kind, p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
 
 
-def expect_psi(p: Problem, kind: PsiKind, t: float) -> float:
-    """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite."""
-    law = marginal_law(p, t)
-    xs = law.mean + np.sqrt(law.variance) * _GH_Z
-    if law.family == "lognormal":
+def expect_psi(p: Problem, kind: PsiKind, t):
+    """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite.
+
+    ``t`` is a float, giving a float, or a 1-D array of times, giving the
+    array of expectations from one :func:`psi_at` call on a (times, nodes)
+    grid.
+    """
+    ts = np.atleast_1d(t)
+    laws = [marginal_law(p, s) for s in ts]
+    mean = np.array([law.mean for law in laws])[:, None]
+    sd = np.sqrt(np.array([law.variance for law in laws]))[:, None]
+    xs = mean + sd * _GH_Z
+    if laws[0].family == "lognormal":
         xs = np.exp(xs)
-    # The builtin sum adds the weighted nodes left to right, as a loop over
-    # scalar nodes would; np.sum adds pairwise and would change the bits.
-    return float(sum(_GH_W * psi_at(p, kind, t, xs)))
+    v = psi_at(p, kind, ts[:, None], xs)
+    # Each row is added left to right from 0, as the builtin sum over scalar
+    # nodes would; np.sum adds pairwise and would change the bits.
+    acc = 0
+    for j, w in enumerate(_GH_W):
+        acc = acc + w * v[:, j]
+    return float(acc[0]) if np.ndim(t) == 0 else acc
 
 
 def _time_integral(p: Problem, kind: PsiKind, panels: int) -> float:
-    """Composite Gauss-Legendre integral of E psi(t, X_t) over [0, T]."""
+    """Composite Gauss-Legendre integral of E psi(t, X_t) over [0, T].
+
+    The nodes go to :func:`expect_psi` ``_T_CHUNK`` at a time, and the
+    weighted values are added one by one in node order.
+    """
     width = p.horizon / panels
+    nodes = [((i + 0.5) * width + 0.5 * width * xi, 0.5 * width * w)
+             for i in range(panels) for xi, w in zip(_GL_X, _GL_W)]
     total = 0.0
-    for i in range(panels):
-        mid = (i + 0.5) * width
-        for xi, w in zip(_GL_X, _GL_W):
-            total += 0.5 * width * w * expect_psi(p, kind, mid + 0.5 * width * xi)
+    for lo in range(0, len(nodes), _T_CHUNK):
+        chunk = nodes[lo:lo + _T_CHUNK]
+        values = expect_psi(p, kind, np.array([t for t, _ in chunk]))
+        for (_, weight), e in zip(chunk, values):
+            total += weight * e
     return float(total)
 
 

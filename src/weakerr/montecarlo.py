@@ -177,10 +177,14 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
     for a surrogate reference.
     """
     given = ([] if solver is None else ["solver"]) + list(settings)
-    if kind == "explicit" and given:
-        raise ValueError(f"the explicit scheme solves no implicit step; got {', '.join(given)}")
-    if solver is None:
-        solver = "closed_form_affine" if p.affine is not None else "fixed_point"
+    if kind == "explicit":
+        if given:
+            raise ValueError(
+                f"the explicit scheme solves no implicit step; got {', '.join(given)}")
+    elif solver is None:
+        settings["solver"] = "closed_form_affine" if p.affine is not None else "fixed_point"
+    else:
+        settings["solver"] = solver
     levels = mc.levels
     surrogate = p.exact_terminal is None
     finest_n = mc.finest_n
@@ -192,8 +196,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {finest_n}")
     sim_levels = levels + ((finest_n // 2, finest_n) if surrogate else ())
 
-    configs = [SchemeConfig(n_steps=n, kind=kind, solver=solver, **settings)
-               for n in sim_levels]
+    configs = [SchemeConfig(n_steps=n, kind=kind, **settings) for n in sim_levels]
     n_units = mc.n_paths // 2 if mc.antithetic else mc.n_paths
     h_fine = p.horizon / finest_n
     n_report = len(levels)

@@ -96,7 +96,9 @@ class Problem:
     densities read; the affine jets ignore ``order``.  ``u_jet``, when
     present, provides four derivatives and satisfies the backward PDE.
     ``x`` may be a float or a numpy array of points, which gives a batch of
-    jets (see :mod:`weakerr.jets`); ``f`` accepts either too.
+    jets (see :mod:`weakerr.jets`); ``f`` accepts either too.  ``u_jet(t, x)``
+    also takes an array of times that broadcasts against ``x``, with the
+    bits of one scalar call per (t, x) pair.
     """
 
     name: str
@@ -106,7 +108,7 @@ class Problem:
     b_jet: Callable[..., Jet4]
     sigma_jet: Callable[..., Jet4]
     f: Callable
-    u_jet: Optional[Callable[[float, float], Jet4]] = None
+    u_jet: Optional[Callable[..., Jet4]] = None
     exact_terminal: Optional[Callable[[], float]] = None
     f_poly: Optional[tuple] = None
     affine: Optional[AffineModel] = None
@@ -206,6 +208,13 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
             return tuple(c * math.exp((j * b1 + 0.5 * j * (j - 1) * s1**2) * tau)
                          for j, c in enumerate(f_poly))
 
+    def u_jet(t, x) -> Jet4:
+        # One scalar push per time node, stacked in t's shape: no array exp
+        # touches the time axis, so every node keeps the scalar bits.
+        t = np.asarray(t)
+        rows = np.array([pushed(horizon - s) for s in t.ravel()])
+        return _poly_jet(tuple(col.reshape(t.shape) for col in rows.T), x)
+
     return Problem(
         name=name,
         x0=float(x0),
@@ -214,7 +223,7 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
         b_jet=lambda x, order=4: Jet4((b1 * x, b1, 0.0, 0.0, 0.0)),
         sigma_jet=sigma_jet,
         f=lambda x: np.polynomial.polynomial.polyval(x, f_poly),
-        u_jet=lambda t, x: _poly_jet(pushed(horizon - t), x),
+        u_jet=u_jet,
         exact_terminal=lambda: float(np.polynomial.polynomial.polyval(x0, pushed(horizon))),
         f_poly=f_poly,
         affine=model,

@@ -16,7 +16,7 @@ path ensembles advance in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .problems import Problem
 
 KINDS = ("explicit", "implicit")
 SOLVERS = ("fixed_point", "newton", "closed_form_affine")
+_SOLVER_FIELDS = ("solver", "fp_tol", "fp_max_iter")
 
 # Reject configs outside h * sup|b'| <= MAX_H_LIP; strictly inside the
 # contraction condition h * sup|b'| < 1, it keeps the resolvent 1/(1 - h b')
@@ -68,7 +69,11 @@ def level_set(levels) -> tuple:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Grid size and scheme kind, plus implicit-solver settings."""
+    """Grid size and scheme kind, plus implicit-solver settings.
+
+    An explicit config refuses any solver setting other than the default:
+    it solves no implicit step, so it could only ignore one.
+    """
 
     n_steps: int
     kind: str = "implicit"
@@ -87,6 +92,12 @@ class SchemeConfig:
             raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol!r}")
         if not is_count(self.fp_max_iter):
             raise ValueError("fp_max_iter must be a positive integer")
+        if self.kind == "explicit":
+            given = [f.name for f in fields(self)
+                     if f.name in _SOLVER_FIELDS and getattr(self, f.name) != f.default]
+            if given:
+                raise ValueError("the explicit scheme solves no implicit step; "
+                                 f"got {', '.join(given)}")
 
 
 def _worst_index(residual):

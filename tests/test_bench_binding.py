@@ -72,3 +72,23 @@ def test_traced_mc_counts_batches_normals_and_path_steps(bench, monkeypatch):
     assert metrics["montecarlo.batches"] == 3
     assert metrics["rng.normals"] == 250 * 128
     assert metrics["schemes.path_steps"] == 500 * sum(sim_levels)
+
+
+def test_traced_c1_counts_every_node_and_call(bench):
+    # C1 at 2 panels plus the 4-panel doubling estimate: 48 time nodes of
+    # 64 Gauss-Hermite nodes each, in one expect_psi call per 64 time nodes.
+    # The counters must see every node through the patched eval_psi, and
+    # the expect_psi, marginal_law and u_jet wrappers must see every call.
+    layers, spans, _ = bench
+    tracer = spans.Tracer()
+    p = layers.traced_problems(tracer, {"ou": weakerr.get_problem("ou")})["ou"]
+    with spans.patched(layers.instrument(tracer, weakerr)), tracer.span("job"):
+        weakerr.rates.expansion_check(p, (16, 32, 64), quad_nodes=2)
+    metrics = layers.job_metrics(tracer, 0.0)
+    names = [sp.name for sp in tracer.spans]
+    assert metrics["expansion.quad_nodes"] == 64 * 8 * (2 + 4) == 3072
+    assert names.count("expansion.expect_psi") == 2
+    assert names.count("problems.marginal_law") == 8 * (2 + 4)
+    assert tracer.aggregates()["expansion.eval_psi"][0] == 2
+    assert metrics["problems.u_jet_calls"] == 2
+    assert metrics["expansion.eval_psi_s"] > 0.0

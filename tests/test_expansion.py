@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakerr as we
-from weakerr.expansion import (_GH_Z, PSI_E, PSI_I, PsiKind, eval_psi, eval_psi_i_expanded,
-                               expect_psi, leading_constant, psi_at,
+from weakerr.expansion import (_GH_W, _GH_Z, _GL_W, _GL_X, PSI_E, PSI_I, PsiKind, eval_psi,
+                               eval_psi_i_expanded, expect_psi, leading_constant, psi_at,
                                psi_identity_residual, psi_ih_gap)
 from weakerr.jets import InsufficientJetOrder, Jet4
 
@@ -273,12 +273,6 @@ def _gh_nodes(p, t):
 class TestArrayPath:
     """One psi_at call over all Gauss-Hermite nodes equals the scalar calls."""
 
-    # leading_constant(p, PSI_I, quad_nodes=64) when it evaluated one scalar
-    # jet per node: (value, abs_err_est) as float hex.
-    PINNED_C1 = {
-        "ou": ("-0x1.3020005305ea9p-3", "0x1.8000000000000p-54"),
-        "gbm": ("0x1.004e8861b256dp-9", "0x1.b800000000000p-56"),
-    }
     KINDS = [PSI_I, PSI_E, PsiKind("psi_ih", h=0.03)]
     # Quartic payoffs put cubes and squares of x into every density term,
     # where numpy's array ``**`` and the C library's pow round differently.
@@ -291,10 +285,23 @@ class TestArrayPath:
                                       horizon=1.0),
     }
 
-    @pytest.mark.parametrize("name", sorted(PINNED_C1))
-    def test_leading_constant_bits_pinned(self, problems, name):
-        lc = leading_constant(problems[name], PSI_I, quad_nodes=64)
-        value, err = self.PINNED_C1[name]
+    # leading_constant(p, kind, quad_nodes=64) when it evaluated one scalar
+    # jet per node (psi_i), and when it called expect_psi once per scalar
+    # time node (psi_e, psi_ih): (value, abs_err_est) as float hex.
+    PINNED_C1 = {
+        ("ou", "psi_i"): ("-0x1.3020005305ea9p-3", "0x1.8000000000000p-54"),
+        ("ou", "psi_e"): ("0x1.3020005305ea8p-3", "0x1.0000000000000p-54"),
+        ("ou", "psi_ih"): ("-0x1.16560f3b0ac5ap-3", "0x1.0000000000000p-55"),
+        ("gbm", "psi_i"): ("0x1.004e8861b256dp-9", "0x1.b800000000000p-56"),
+        ("gbm", "psi_e"): ("-0x1.13272177f061cp-7", "0x1.c000000000000p-56"),
+        ("gbm", "psi_ih"): ("0x1.00c27f3df3ebfp-9", "0x1.0000000000000p-56"),
+    }
+
+    @pytest.mark.parametrize("name,kind", sorted(PINNED_C1))
+    def test_leading_constant_bits_pinned(self, problems, name, kind):
+        kinds = {k.name: k for k in self.KINDS}
+        lc = leading_constant(problems[name], kinds[kind], quad_nodes=64)
+        value, err = self.PINNED_C1[name, kind]
         assert lc.value == float.fromhex(value)
         assert lc.abs_err_est == float.fromhex(err)
 
@@ -320,3 +327,67 @@ class TestArrayPath:
             jets = (p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
             assert (gap[i], closed[i]) == psi_ih_gap(*jets, h)
             assert res[i] == psi_identity_residual(*jets)
+
+
+def _per_node_time_integral(p, kind, panels):
+    """The C1 time integral with one scalar time node per psi_at call: the
+    body of the quadrature before time nodes were batched."""
+    width = p.horizon / panels
+    total = 0.0
+    for i in range(panels):
+        mid = (i + 0.5) * width
+        for xi, w in zip(_GL_X, _GL_W):
+            t = mid + 0.5 * width * xi
+            e = float(sum(_GH_W * psi_at(p, kind, t, _gh_nodes(p, t))))
+            total += 0.5 * width * w * e
+    return float(total)
+
+
+class TestTimeBatch:
+    """Batching the time nodes of C1 changes no bit of any node or sum."""
+
+    PROBLEMS = {
+        **TestArrayPath.QUARTIC,
+        "gbm3": we.gbm_family_problem("gbm3", mu=-0.3, s=0.4, f_poly=(0.1, -0.4, 0.3, 0.2),
+                                      x0=1.0, horizon=2.5),
+    }
+
+    def problem(self, problems, name):
+        return self.PROBLEMS.get(name) or problems[name]
+
+    # 64 time nodes go to one expect_psi call; odd panel counts (8 nodes
+    # each) leave a partial last chunk.
+    @pytest.mark.parametrize("panels", [1, 3, 5, 37, 64])
+    @pytest.mark.parametrize("name", ["bm", "ou", "gbm", "ou4", "gbm4", "gbm3"])
+    @pytest.mark.parametrize("kind", TestArrayPath.KINDS, ids=lambda k: k.name)
+    def test_batched_c1_equals_per_node_loop(self, problems, name, kind, panels):
+        p = self.problem(problems, name)
+        got = leading_constant(p, kind, quad_nodes=panels).value
+        assert got.hex() == _per_node_time_integral(p, kind, panels).hex()
+
+    @pytest.mark.parametrize("name", ["bm", "ou", "gbm", "ou4", "gbm4", "gbm3"])
+    def test_u_jet_time_array_equals_scalar_slots(self, problems, name):
+        p = self.problem(problems, name)
+        ts = np.linspace(0.0, p.horizon, 7)
+        xs = _gh_nodes(p, 0.5 * p.horizon)[::8]
+        for t, x in ((ts[:, None], xs), (ts, np.linspace(p.x0 - 1.0, p.x0 + 1.0, 7))):
+            batch = p.u_jet(t, x)
+            assert batch.valid_order == 4
+            tt, xx = np.broadcast_arrays(t, x)
+            for idx in np.ndindex(tt.shape):
+                scalar = p.u_jet(float(tt[idx]), float(xx[idx])).d
+                for k in range(5):
+                    assert np.broadcast_to(batch.d[k], tt.shape)[idx] == scalar[k]
+
+    @pytest.mark.parametrize("name", ["ou", "gbm3"])
+    @pytest.mark.parametrize("kind", TestArrayPath.KINDS, ids=lambda k: k.name)
+    def test_expect_psi_time_array_equals_float_calls(self, problems, name, kind):
+        p = self.problem(problems, name)
+        ts = np.linspace(0.0, p.horizon, 5)
+        batch = expect_psi(p, kind, ts)
+        assert batch.shape == ts.shape
+        for t, v in zip(ts, batch):
+            e = expect_psi(p, kind, float(t))
+            assert type(e) is float
+            assert e == v
+            assert e == float(sum(_GH_W * psi_at(p, kind, t, _gh_nodes(p, t))))

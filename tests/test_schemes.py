@@ -326,6 +326,22 @@ class TestSchemeConfig:
             with pytest.raises(ValueError):
                 SchemeConfig(n_steps=4, fp_tol=tol)
 
+    @pytest.mark.parametrize("given", [
+        {"solver": "newton"}, {"solver": "closed_form_affine"}, {"fp_tol": 1e-3},
+        {"fp_max_iter": 1},
+        {"solver": "newton", "fp_tol": 1e-3, "fp_max_iter": 1},
+    ])
+    def test_explicit_kind_refuses_solver_settings(self, given):
+        # the explicit scheme solves no implicit step, so it could only ignore them
+        with pytest.raises(ValueError, match="explicit") as exc:
+            SchemeConfig(n_steps=8, kind="explicit", **given)
+        assert all(name in str(exc.value) for name in given)
+
+    def test_explicit_kind_accepts_the_defaults(self):
+        given = SchemeConfig(n_steps=8, kind="explicit", solver="fixed_point",
+                             fp_tol=1e-12, fp_max_iter=100)
+        assert given == SchemeConfig(n_steps=8, kind="explicit")
+
     def test_step_guard_constant(self, problems):
         # h * lip_b = 0.5 is allowed, anything beyond is not
         assert check_step_size(problems["tanh"], SchemeConfig(n_steps=2)) == 0.5
