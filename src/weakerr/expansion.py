@@ -33,11 +33,14 @@ The densities accept jets whose slots are arrays (a batch of points, see
 :mod:`weakerr.jets`) and then return an array, so one call covers the
 Gauss-Hermite nodes of 64 time nodes, as a (time, space) grid.  Each time
 node's law and u coefficients come from scalar code, since an array ``exp``
-over the times rounds differently, and the sums run in the order of a loop
-over scalar nodes.  Squares go through ``np.float_power`` rather than
-``**``: numpy computes an array ``v**2`` as ``v*v``, which rounds
-differently from the C library's ``pow`` that a float ``v**2`` calls, and
-the batch must reproduce the scalar values bit for bit.
+over the times rounds differently; the u jet computes each power of x once
+for the whole grid.  The sums run in the order of a loop over scalar nodes:
+one ``np.add.accumulate`` from a zero column adds each grid row left to
+right, and one more adds the weighted time nodes in node order.  Squares go
+through ``np.float_power`` rather than ``**``: numpy computes an array
+``v**2`` as ``v*v``, which rounds differently from the C library's ``pow``
+that a float ``v**2`` calls, and the batch must reproduce the scalar values
+bit for bit.
 """
 
 from __future__ import annotations
@@ -244,21 +247,24 @@ def expect_psi(p: Problem, kind: PsiKind, t):
 
     ``t`` is a float, giving a float, or a 1-D array of times, giving the
     array of expectations from one :func:`psi_at` call on a (times, nodes)
-    grid.
+    grid; an empty array gives an empty array.  Any other shape is refused.
     """
     ts = np.atleast_1d(t)
+    if ts.ndim != 1:
+        raise ValueError(f"t must be a float or a 1-D array of times, got shape {ts.shape}")
+    if ts.size == 0:
+        return np.zeros(0)
     laws = [marginal_law(p, s) for s in ts]
     mean = np.array([law.mean for law in laws])[:, None]
     sd = np.sqrt(np.array([law.variance for law in laws]))[:, None]
     xs = mean + sd * _GH_Z
     if laws[0].family == "lognormal":
         xs = np.exp(xs)
-    v = psi_at(p, kind, ts[:, None], xs)
+    terms = np.zeros((len(ts), 1 + _GH_POINTS))
+    terms[:, 1:] = _GH_W * psi_at(p, kind, ts[:, None], xs)
     # Each row is added left to right from 0, as the builtin sum over scalar
     # nodes would; np.sum adds pairwise and would change the bits.
-    acc = 0
-    for j, w in enumerate(_GH_W):
-        acc = acc + w * v[:, j]
+    acc = np.add.accumulate(terms, axis=1)[:, -1]
     return float(acc[0]) if np.ndim(t) == 0 else acc
 
 
@@ -266,18 +272,15 @@ def _time_integral(p: Problem, kind: PsiKind, panels: int) -> float:
     """Composite Gauss-Legendre integral of E psi(t, X_t) over [0, T].
 
     The nodes go to :func:`expect_psi` ``_T_CHUNK`` at a time, and the
-    weighted values are added one by one in node order.
+    weighted values are added one by one in node order, from 0.
     """
     width = p.horizon / panels
-    nodes = [((i + 0.5) * width + 0.5 * width * xi, 0.5 * width * w)
-             for i in range(panels) for xi, w in zip(_GL_X, _GL_W)]
-    total = 0.0
-    for lo in range(0, len(nodes), _T_CHUNK):
-        chunk = nodes[lo:lo + _T_CHUNK]
-        values = expect_psi(p, kind, np.array([t for t, _ in chunk]))
-        for (_, weight), e in zip(chunk, values):
-            total += weight * e
-    return float(total)
+    ts = (((np.arange(panels) + 0.5) * width)[:, None] + 0.5 * width * _GL_X).ravel()
+    terms = np.zeros(1 + ts.size)
+    terms[1:] = np.tile(0.5 * width * _GL_W, panels)
+    for lo in range(0, ts.size, _T_CHUNK):
+        terms[1 + lo:1 + lo + _T_CHUNK] *= expect_psi(p, kind, ts[lo:lo + _T_CHUNK])
+    return float(np.add.accumulate(terms)[-1])
 
 
 def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> LeadingConstant:

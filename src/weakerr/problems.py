@@ -128,40 +128,21 @@ class Problem:
 def _poly_jet(coeffs, x) -> Jet4:
     """Value and first four derivatives of sum c_j x^j at x (float or array).
 
+    Each power x^e, e = 0..deg, is computed once and serves every (k, j)
+    with j - k = e; the sums add ``c_j * j!/(j-k)! * x^(j-k)`` in order of j.
     Powers go through ``np.float_power``, which calls the C library's ``pow``
     for floats and arrays alike; numpy's array ``**`` takes other routes
     (``x*x`` for squares, vector kernels for cubes) that can round the last
     bit differently, so an array x would no longer match scalar calls.
     """
+    powers = [np.float_power(x, e) for e in range(len(coeffs))]
     out = []
     for k in range(5):
         acc = 0.0
         for j in range(k, len(coeffs)):
-            acc += coeffs[j] * math.perm(j, k) * np.float_power(x, j - k)
+            acc += coeffs[j] * math.perm(j, k) * powers[j - k]
         out.append(acc)
     return Jet4(tuple(out))
-
-
-def _gaussian_central_moment(k: int, var: float) -> float:
-    """E Z^k for Z ~ N(0, var): (k-1)!! var^(k/2) for even k, else 0."""
-    if k % 2 == 1:
-        return 0.0
-    acc = 1.0
-    for j in range(1, k, 2):
-        acc *= j
-    return acc * var ** (k // 2)
-
-
-def _gaussian_poly_push(coeffs, scale: float, var: float) -> tuple:
-    """Coefficients of q(x) = E p(scale*x + Z), Z ~ N(0, var), p = sum c_j x^j."""
-    deg = len(coeffs) - 1
-    out = [0.0] * (deg + 1)
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for i in range(j + 1):
-            out[i] += c * math.comb(j, i) * scale**i * _gaussian_central_moment(j - i, var)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +157,36 @@ def _ou_transition(b1: float, sigma: float, dt):
     else:
         var = float(sigma**2 * np.expm1(2.0 * b1 * dt) / (2.0 * b1))
     return scale, var
+
+
+def _gaussian_push(coeffs, b1: float, sigma: float) -> Callable[[float], tuple]:
+    """tau -> coefficients of q(x) = E p(X_{t+tau} | X_t = x) for dX = b1 X dt + sigma dW.
+
+    Here p = sum c_j x^j and X_{t+tau} = scale*x + Z with Z ~ N(0, var), so
+    q gets, for each nonzero c_j and i <= j in order of j then i, the term
+    ``c_j*C(j, i) * scale**i * (m * var**e)``: the central moment E Z^(j-i)
+    is (j-i-1)!! var^((j-i)/2) for even j - i and ``0.0 * var**0`` for odd.
+    The odd terms stay in, so that an overflowed scale (inf * 0) makes their
+    coefficient NaN.  The rows (i, c_j*C(j, i), m, e) are tabled here, once
+    per problem.
+    """
+    table = []
+    for j, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        for i in range(j + 1):
+            k = j - i
+            m, e = (0.0, 0) if k % 2 else (float(math.prod(range(1, k, 2))), k // 2)
+            table.append((i, c * math.comb(j, i), m, e))
+
+    def pushed(tau: float) -> tuple:
+        scale, var = _ou_transition(b1, sigma, tau)
+        out = [0.0] * len(coeffs)
+        for i, cc, m, e in table:
+            out[i] += cc * scale**i * (m * var**e)
+        return tuple(out)
+
+    return pushed
 
 
 def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
@@ -198,15 +209,15 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
         def sigma_jet(x, order: int = 4) -> Jet4:
             return Jet4.constant(s0)
 
-        def pushed(tau: float) -> tuple:
-            return _gaussian_poly_push(f_poly, *_ou_transition(b1, s0, tau))
+        pushed = _gaussian_push(f_poly, b1, s0)
     else:
         def sigma_jet(x, order: int = 4) -> Jet4:
             return Jet4((s1 * x, s1, 0.0, 0.0, 0.0))
 
+        exponents = [j * b1 + 0.5 * j * (j - 1) * s1**2 for j in range(len(f_poly))]
+
         def pushed(tau: float) -> tuple:
-            return tuple(c * math.exp((j * b1 + 0.5 * j * (j - 1) * s1**2) * tau)
-                         for j, c in enumerate(f_poly))
+            return tuple(c * math.exp(r * tau) for c, r in zip(f_poly, exponents))
 
     def u_jet(t, x) -> Jet4:
         # One scalar push per time node, stacked in t's shape: no array exp

@@ -22,6 +22,11 @@ from .schemes import SchemeConfig, level_set
 # Errors at or below double-rounding scale carry no rate information.
 NOISE_FLOOR = 1e-14
 
+# Each fitted log-error residual carries rounding of about eps * max|log err|;
+# log errors whose RMS spread is within this many of those are flat to
+# rounding, and fit_rate reports R^2 = 1 for them, as for equal errors.
+_FLAT_ULPS = 64
+
 
 class TooFewPoints(ValueError):
     """Fewer than three usable points remain after noise-floor exclusion."""
@@ -55,7 +60,8 @@ def fit_rate(points) -> RateFit:
     """Ordinary least squares on log-log pairs (h, |err|).
 
     Points with |err| below :data:`NOISE_FLOOR` are excluded (and counted);
-    at least three usable points are required.
+    at least three usable points are required.  ``r_squared`` lies in
+    [0, 1]; errors that are flat to rounding give 1, as equal errors do.
     """
     usable = []
     excluded = 0
@@ -75,7 +81,10 @@ def fit_rate(points) -> RateFit:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    if ss_tot <= len(y) * (_FLAT_ULPS * np.finfo(float).eps * np.max(np.abs(y))) ** 2:
+        r_squared = 1.0
+    else:
+        r_squared = min(1.0, max(0.0, 1.0 - float(np.sum(resid**2)) / ss_tot))
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=r_squared, points=tuple(usable), n_excluded=excluded)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import weakerr
+from weakerr.cli import parse_problem_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -74,21 +75,36 @@ def test_traced_mc_counts_batches_normals_and_path_steps(bench, monkeypatch):
     assert metrics["schemes.path_steps"] == 500 * sum(sim_levels)
 
 
+def _traced_expansion_check(bench, p):
+    """Metrics, span names and tracer of a traced C1 at 2 and 4 panels on ``p``."""
+    layers, spans, _ = bench
+    tracer = spans.Tracer()
+    p = layers.traced_problems(tracer, {p.name: p})[p.name]
+    with spans.patched(layers.instrument(tracer, weakerr)), tracer.span("job"):
+        weakerr.rates.expansion_check(p, (16, 32, 64), quad_nodes=2)
+    return layers.job_metrics(tracer, 0.0), [sp.name for sp in tracer.spans], tracer
+
+
 def test_traced_c1_counts_every_node_and_call(bench):
     # C1 at 2 panels plus the 4-panel doubling estimate: 48 time nodes of
     # 64 Gauss-Hermite nodes each, in one expect_psi call per 64 time nodes.
     # The counters must see every node through the patched eval_psi, and
     # the expect_psi, marginal_law and u_jet wrappers must see every call.
-    layers, spans, _ = bench
-    tracer = spans.Tracer()
-    p = layers.traced_problems(tracer, {"ou": weakerr.get_problem("ou")})["ou"]
-    with spans.patched(layers.instrument(tracer, weakerr)), tracer.span("job"):
-        weakerr.rates.expansion_check(p, (16, 32, 64), quad_nodes=2)
-    metrics = layers.job_metrics(tracer, 0.0)
-    names = [sp.name for sp in tracer.spans]
+    metrics, names, tracer = _traced_expansion_check(bench, weakerr.get_problem("ou"))
     assert metrics["expansion.quad_nodes"] == 64 * 8 * (2 + 4) == 3072
     assert names.count("expansion.expect_psi") == 2
     assert names.count("problems.marginal_law") == 8 * (2 + 4)
     assert tracer.aggregates()["expansion.eval_psi"][0] == 2
     assert metrics["problems.u_jet_calls"] == 2
     assert metrics["expansion.eval_psi_s"] > 0.0
+
+
+def test_traced_c1_counts_on_a_quartic_config(bench):
+    # a quartic payoff takes every row of the Gaussian push table and all
+    # five powers in the u jet; the counters read as on the quadratic ou
+    p = parse_problem_config(
+        "name = ou4\ntheta = 0.7\nsigma = 0.6\nx0 = 0.8\nf_poly = 0.3, -0.2, 0.5, 0.1, 0.05\n")
+    metrics, names, _ = _traced_expansion_check(bench, p)
+    assert metrics["expansion.quad_nodes"] == 3072
+    assert metrics["problems.u_jet_calls"] == 2
+    assert names.count("problems.marginal_law") == 8 * (2 + 4)

@@ -136,6 +136,16 @@ class TestConvergeExpandRichardson:
         assert 0.95 <= payload["slope"] <= 1.05
         assert payload["r_squared"] >= 0.999
 
+    def test_converge_on_flat_errors_keeps_r_squared_in_unit_interval(self, capsys, tmp_path):
+        # E X_T^4 = exp(216.2) swamps the weak error, so every level's error
+        # is -7.84e93 to within a few ulp: the log-log points are flat to
+        # rounding, which an OLS fit reads as a perfect (R^2 = 1) line
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("mu = 0.05\ns = 6\nf_poly = 0, 0, 0, 0, 1\n")
+        code, out, _ = run_cli(capsys, "converge", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["r_squared"] == 1.0
+
     def test_expand_table(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "--problem", "ou",
                                "--levels", "16,32,64,128", "--quad-nodes", "8")

@@ -391,3 +391,46 @@ class TestTimeBatch:
             assert type(e) is float
             assert e == v
             assert e == float(sum(_GH_W * psi_at(p, kind, t, _gh_nodes(p, t))))
+
+
+class TestExpectPsiShapes:
+    def test_empty_time_array_gives_empty_result(self, problems):
+        for name in ("ou", "gbm"):
+            got = expect_psi(problems[name], PSI_I, np.array([]))
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 1), (1, 1, 2), (0, 2)])
+    def test_times_of_two_or_more_dimensions_are_refused(self, problems, shape):
+        with pytest.raises(ValueError, match=rf"\({shape[0]}, {shape[1]}"):
+            expect_psi(problems["ou"], PSI_I, np.full(shape, 0.5))
+
+
+class TestGaussHermiteRowSum:
+    """expect_psi's one accumulate per grid adds each row as the loop did."""
+
+    @staticmethod
+    def loop_sums(v):
+        # the row loop expect_psi ran before the accumulate
+        acc = 0
+        for j, w in enumerate(_GH_W):
+            acc = acc + w * v[:, j]
+        return acc
+
+    def test_accumulate_equals_the_loop(self, problems, monkeypatch):
+        rng = np.random.default_rng(7)
+        v = rng.normal(scale=1e3, size=(9, 64))
+        v[0] = -0.0
+        v[1, 0] = -0.0
+        v[2, :3] = -0.0
+        v[3, 5] = np.inf
+        v[4, 60] = -np.inf
+        v[5, [1, 40]] = [np.inf, -np.inf]
+        v[6, 0] = np.nan
+        v[7] = 1e308
+        monkeypatch.setattr(we.expansion, "psi_at", lambda p, kind, t, x: v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = expect_psi(problems["ou"], PSI_I, np.linspace(0.1, 0.9, 9))
+            want = self.loop_sums(v)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got[0].hex() == "0x0.0p+0"
+        assert np.isposinf(got[3]) and np.isneginf(got[4]) and np.isnan(got[5])

@@ -357,3 +357,127 @@ class TestAffineBitsPinned:
                     expect = want[k] if k < 2 else 0.0
                     assert np.array_equal(np.broadcast_to(jet.deriv(k), np.shape(x)),
                                           np.broadcast_to(expect, np.shape(x)))
+
+
+# ---------------------------------------------------------------------------
+# The per-term code that _poly_jet and _gaussian_push replaced, kept as the
+# reference their bits must match.
+# ---------------------------------------------------------------------------
+
+def _poly_jet_per_pair(coeffs, x):
+    """One np.float_power call per (k, j) pair."""
+    out = []
+    for k in range(5):
+        acc = 0.0
+        for j in range(k, len(coeffs)):
+            acc += coeffs[j] * math.perm(j, k) * np.float_power(x, j - k)
+        out.append(acc)
+    return tuple(out)
+
+
+def _gaussian_central_moment(k, var):
+    if k % 2 == 1:
+        return 0.0
+    acc = 1.0
+    for j in range(1, k, 2):
+        acc *= j
+    return acc * var ** (k // 2)
+
+
+def _gaussian_poly_push(coeffs, scale, var):
+    out = [0.0] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        for i in range(j + 1):
+            out[i] += c * math.comb(j, i) * scale**i * _gaussian_central_moment(j - i, var)
+    return tuple(out)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestSameBitsAsPerTermCode:
+    PAYOFFS = [(0.7,), (0.3, -1.1), (0.0, 0.0, 1.0), (0.1, -0.4, 0.3, 0.2),
+               (0.3, -0.2, 0.5, 0.1, 0.05), (0.0, -0.0, -1.5, 0.0, 2.0)]
+    XS = [0.0, -0.0, -1.7, 2.3, 1e-3, -np.inf,
+          np.array([0.0, -0.0, -1.7, 2.3, 1e-3, -3.9, 1e5, -np.inf, np.inf])]
+
+    @pytest.mark.parametrize("coeffs", PAYOFFS, ids=lambda c: f"deg{len(c) - 1}")
+    def test_poly_jet_matches_one_power_per_pair(self, coeffs):
+        for x in self.XS:
+            with np.errstate(invalid="ignore"):  # inf - inf at x = +-inf
+                got = we.problems._poly_jet(coeffs, x).d
+                want = _poly_jet_per_pair(coeffs, x)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert _hex(g) == _hex(w)
+
+    @pytest.mark.parametrize("coeffs", PAYOFFS, ids=lambda c: f"deg{len(c) - 1}")
+    def test_poly_jet_with_coefficient_columns(self, coeffs):
+        # the (n_t, 1) columns u_jet stacks over time nodes, on an (n_t, 64) grid
+        rng = np.random.default_rng(len(coeffs))
+        cols = tuple(rng.normal(size=(5, 1)) * (c != 0.0) for c in coeffs)
+        x = np.concatenate([rng.normal(scale=3.0, size=(5, 62)),
+                            np.full((5, 1), -0.0), np.zeros((5, 1))], axis=1)
+        got = we.problems._poly_jet(cols, x).d
+        want = _poly_jet_per_pair(cols, x)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert _hex(g) == _hex(w)
+
+    @pytest.mark.parametrize("coeffs", PAYOFFS, ids=lambda c: f"deg{len(c) - 1}")
+    def test_poly_jet_computes_each_power_once(self, coeffs, monkeypatch):
+        calls = []
+        float_power = np.float_power
+
+        def counting(x, e):
+            calls.append(e)
+            return float_power(x, e)
+
+        monkeypatch.setattr(we.problems.np, "float_power", counting)
+        we.problems._poly_jet(coeffs, np.linspace(-2.0, 2.0, 9))
+        assert sorted(calls) == list(range(len(coeffs)))
+
+    PUSHED = {
+        "bm": (0.0, 1.0, (0.0, 0.0, 0.0, 0.0, 1.0), 1.0),
+        "ou": (-1.0, 1.0, (0.0, 0.0, 1.0), 1.0),
+        "ou3": (-0.4, 0.8, (0.1, -0.4, 0.3, -0.2), 2.5),
+        "ou4": (-0.7, 0.6, (0.3, -0.2, 0.5, 0.1, 0.05), 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PUSHED))
+    def test_gaussian_push_matches_per_term_loop(self, name):
+        b1, s0, f_poly, horizon = self.PUSHED[name]
+        pushed = we.problems._gaussian_push(f_poly, b1, s0)
+        for tau in (0.0, 0.3, horizon, np.float64(0.3), np.float64(horizon)):
+            want = _gaussian_poly_push(f_poly, *we.problems._ou_transition(b1, s0, tau))
+            assert _hex(pushed(tau)) == _hex(want)
+
+    def test_gaussian_push_keeps_the_odd_moment_zeros(self):
+        # at b1 = 800, tau = 1 scale and var overflow to inf, so the odd
+        # moments' terms inf * 0 make the x and x^2 coefficients NaN
+        f_poly = (0.1, -0.4, 0.3, -0.2)
+        pushed = we.problems._gaussian_push(f_poly, 800.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _gaussian_poly_push(f_poly, *we.problems._ou_transition(800.0, 1.0, 1.0))
+            got = pushed(1.0)
+        assert _hex(got) == _hex(want) == ["inf", "nan", "nan", "-inf"]
+
+    @pytest.mark.parametrize("name", sorted(PUSHED))
+    def test_problem_pushes_through_the_table(self, name):
+        # exact_terminal and u_jet read the same push: E f(X_T) = q(x0) at
+        # tau = T, and u(t, .) has the coefficients of the push at T - t
+        b1, s0, f_poly, horizon = self.PUSHED[name]
+        p = we.affine_problem(name, we.problems.AffineModel(b1=b1, s0=s0, s1=0.0),
+                              f_poly, 0.4, horizon)
+        push = lambda tau: _gaussian_poly_push(f_poly, *we.problems._ou_transition(b1, s0, tau))
+        assert p.exact_terminal() == float(P.polyval(0.4, push(horizon)))
+        t = np.array([0.0, 0.3 * horizon, horizon])
+        x = np.linspace(-1.0, 1.0, 5)
+        got = p.u_jet(t[:, None], x).d
+        for row, s in enumerate(t):
+            want = _poly_jet_per_pair(push(horizon - s), x)
+            for g, w in zip(got, want):
+                assert _hex(np.broadcast_to(g, (3, 5))[row]) == _hex(np.broadcast_to(w, (5,)))

@@ -35,6 +35,15 @@ class TestFitRate:
         with pytest.raises(TooFewPoints):
             fit_rate([(0.1, 0.0), (0.05, 0.0), (0.025, 0.0)])
 
+    def test_r_squared_stays_in_unit_interval(self):
+        # errors equal to within an ulp or two of their logs: the fitted
+        # residuals are rounding, so 1 - ss_res/ss_tot read -2.17 here
+        errs = ["-0x1.e14224efa9967p+311"] * 5 + ["-0x1.e14224efa977ap+311"]
+        pts = [(2.0**-k, float.fromhex(e)) for k, e in zip(range(4, 10), errs)]
+        assert fit_rate(pts).r_squared == 1.0
+        noisy = [(0.1, 0.3), (0.05, 0.02), (0.025, 0.2), (0.0125, 0.01)]
+        assert 0.0 <= fit_rate(noisy).r_squared <= 1.0
+
     def test_positive_h_required(self):
         with pytest.raises(ValueError):
             fit_rate([(0.1, 0.1), (-0.05, 0.05), (0.025, 0.025)])
