@@ -8,12 +8,18 @@ would.  Streams are counter-based (see :mod:`weakerr.rng`): a report is a
 bitwise-deterministic function of (problem, McConfig, scheme settings),
 independent of batch execution order or worker count.
 
-Each simulated level's increments are handed to :func:`run_paths`
-step-major (Fortran order), one level alive at a time, so that every step
-reads one contiguous row; the antithetic pass negates that array in place.
-Elementwise arithmetic does not depend on memory order, so the layout
-cannot change a result (the tests pin the same bytes for C-ordered,
-Fortran-ordered and strided increments).
+Each batch draws its fine increments once, step-major (Fortran order), from
+:func:`weakerr.rng.gaussian_increments`, and every level reaches
+:func:`run_paths` step-major, so that each step reads one contiguous column.
+The finest level is the draw itself, not a copy: levels ascend and divide
+the finest grid, so it is stepped last and its antithetic pass negates it
+in place.  Each coarser level is one new array, summed from the contiguous
+column views ``fine[:, k::m]`` in the order of numpy's path-major
+``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+:func:`_pairwise_sum`, so every coarse increment keeps its bits; at most one
+coarse level is alive at a time.  Elementwise arithmetic does not depend on
+memory order, so the layout cannot change a result (the tests pin the same
+bytes for C-ordered, Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -38,9 +44,9 @@ SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14
-# Doubles of the fine batch coarsened per chunk of rows, so that each chunk
-# is still in cache when it is stored into the step-major level array.
-_CHUNK = 1 << 15
+# Coarse increments summed per block of columns: the block's eight partial
+# sums (8 x 2^14 doubles, 1 MB) stay in L2 cache while fine columns stream past.
+_SUM_BLOCK = 1 << 14
 # Surrogate references need finest_n >= SURROGATE_MARGIN * the largest
 # level, so that the fine grid is well separated from the levels it judges.
 SURROGATE_MARGIN = 8
@@ -131,26 +137,71 @@ class RichardsonPoint:
     stderr: float
 
 
-def _coarsen(fine: np.ndarray, n_steps: int) -> np.ndarray:
-    m = fine.shape[1] // n_steps
+def _level_increments(fine: np.ndarray, n_steps: int) -> np.ndarray:
+    """The increments of the ``n_steps``-step level, summed from step-major ``fine``.
+
+    With m = fine steps per coarse step, m = 1 returns ``fine`` itself.
+    Otherwise coarse step i is the sum of fine columns i*m .. i*m + m - 1,
+    added in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
+    on C-ordered rows, so every increment keeps the bits of the path-major
+    reshape-sum (see :func:`_pairwise_sum`).  The result is a new
+    Fortran-ordered array: column views ``fine[:, k::m]`` are added one
+    block of coarse columns at a time.
+    """
+    rows, n_fine = fine.shape
+    m = n_fine // n_steps
     if m == 1:
         return fine
-    return fine.reshape(fine.shape[0], n_steps, m).sum(axis=2)
-
-
-def _step_major(fine: np.ndarray, n_steps: int) -> np.ndarray:
-    """``_coarsen(fine, n_steps)`` as a new Fortran-ordered array.
-
-    It never aliases ``fine``, so the antithetic pass may negate it in place.
-    Rows are coarsened a chunk at a time by the same reshape-sum, so every
-    coarse increment keeps its summation order and its bits.
-    """
-    rows = fine.shape[0]
     out = np.empty((rows, n_steps), order="F")
-    chunk = max(1, _CHUNK // fine.shape[1])
-    for lo in range(0, rows, chunk):
-        out[lo:lo + chunk] = _coarsen(fine[lo:lo + chunk], n_steps)
+    width = max(1, _SUM_BLOCK // rows)
+    for lo in range(0, n_steps, width):
+        _pairwise_sum(fine[:, lo * m:(lo + width) * m], m, 0, m, out[:, lo:lo + width])
+    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    out += 0.0
     return out
+
+
+def _pairwise_sum(fine: np.ndarray, m: int, first: int, count: int, out: np.ndarray):
+    """Into ``out``, terms first .. first + count - 1 of every group of m columns.
+
+    Term k of every group is the column view ``fine[:, k::m]``.  The order is
+    numpy's pairwise summation: a running sum below 8 terms; up to 128 terms,
+    eight partial sums r_j = a_j + a_{j+8} + ... combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the count mod 8
+    leftover terms in order; above 128, the sums of two halves split at
+    count // 2 rounded down to a multiple of 8.
+    """
+    def term(k):
+        return fine[:, first + k::m]
+
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _pairwise_sum(fine, m, first, half, out)
+        rest = np.empty_like(out)
+        _pairwise_sum(fine, m, first + half, count - half, rest)
+        out += rest
+        return
+    if count < 8:
+        np.copyto(out, term(0))
+        for k in range(1, count):
+            out += term(k)
+        return
+    r = [out] + [np.empty_like(out) for _ in range(7)]
+    for j in range(8):
+        np.copyto(r[j], term(j))
+    tail = count - count % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    r[0] += r[1]
+    r[2] += r[3]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[0] += r[2]
+    r[4] += r[6]
+    r[0] += r[4]
+    for k in range(tail, count):
+        out += term(k)
 
 
 def _n_workers() -> int:
@@ -210,19 +261,21 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         idx = np.arange(lo, hi, dtype=np.uint64)
         fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
         vals = []
+        # Levels ascend and divide finest_n, so a level that is the fine draw
+        # itself comes last, and its antithetic pass may negate it in place.
         for cfg in configs:
-            coarse = _step_major(fine, cfg.n_steps)
+            incs = _level_increments(fine, cfg.n_steps)
             try:
-                v = payoffs(cfg, coarse)
+                v = payoffs(cfg, incs)
                 if mc.antithetic:
-                    np.negative(coarse, out=coarse)
-                    v = 0.5 * (v + payoffs(cfg, coarse))
+                    np.negative(incs, out=incs)
+                    v = 0.5 * (v + payoffs(cfg, incs))
             except NoConvergence as err:
                 path = lo + (err.path_index or 0)
                 raise NoConvergence(
                     f"level {cfg.n_steps}, path {path}: {err}",
                     step_index=err.step_index, path_index=path) from err
-            del coarse  # one level alive at a time
+            del incs  # at most one coarse level alive at a time
             vals.append(v)
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]

@@ -130,12 +130,17 @@ def _poly_jet(coeffs, x) -> Jet4:
 
     Each power x^e, e = 0..deg, is computed once and serves every (k, j)
     with j - k = e; the sums add ``c_j * j!/(j-k)! * x^(j-k)`` in order of j.
-    Powers go through ``np.float_power``, which calls the C library's ``pow``
-    for floats and arrays alike; numpy's array ``**`` takes other routes
-    (``x*x`` for squares, vector kernels for cubes) that can round the last
-    bit differently, so an array x would no longer match scalar calls.
+    Powers e >= 2 go through ``np.float_power``, which calls the C library's
+    ``pow`` for floats and arrays alike; numpy's array ``**`` takes other
+    routes (``x*x`` for squares, vector kernels for cubes) that can round the
+    last bit differently, so an array x would no longer match scalar calls.
+    Powers 0 and 1 skip ``pow``: C99 Annex F fixes pow(x, 0) = 1 for every
+    x, NaN included, and pow(x, 1) = x is exact.  They keep float_power's
+    result types (``np.float64`` for a scalar x).
     """
-    powers = [np.float_power(x, e) for e in range(len(coeffs))]
+    x1 = np.asarray(x, dtype=float)[()]
+    powers = [np.ones(np.shape(x1))[()], x1]
+    powers += [np.float_power(x, e) for e in range(2, len(coeffs))]
     out = []
     for k in range(5):
         acc = 0.0

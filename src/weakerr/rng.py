@@ -12,6 +12,12 @@ and high words of the path index, 0); the 64-bit key is the seed.  Each
 128-bit output block yields two 64-bit words, i.e. two normal draws.
 Normals are generated in cache-sized chunks of rows; every draw depends on
 its own counter alone, so the stream does not depend on the chunk size.
+
+The output is step-major (Fortran order): each step's draws for all paths
+are one contiguous column, the layout the steppers read.  Chunks are written
+path by path into a C-ordered staging block of a few chunks (about 1 MB),
+and each full block is copied into its rows of the output; ``tobytes()``
+reads the same path-major bytes as before.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ _S11 = np.uint64(11)
 # Philox blocks per chunk of rows: a chunk's six uint64 round arrays (128 KB
 # each) stay in L2 cache through the ten rounds.
 _CHUNK_BLOCKS = 2**14
+# Chunks per C-ordered staging block (4 x 256 KB of doubles): the block is
+# still in L2 cache when it is copied into the step-major output.
+_STAGE_CHUNKS = 4
 
 
 def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):
@@ -85,10 +94,11 @@ def _check_paths(path_indices) -> np.ndarray:
 
 
 def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.ndarray:
-    """Brownian increments N(0, dt), shape (n_paths, n_steps); dt = 1.0 gives N(0, 1).
+    """Brownian increments N(0, dt), shape (n_paths, n_steps), step-major; dt = 1.0 gives N(0, 1).
 
     Each chunk of rows runs the whole chain -- counters, Philox rounds, 53-bit
-    uniforms, inverse CDF, times sqrt(dt) -- straight into its rows of the output.
+    uniforms, inverse CDF, times sqrt(dt) -- into its rows of the staging
+    block; each full block is then copied into its rows of the output.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -101,31 +111,36 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     n_blocks = (n_steps + 1) // 2
     blocks = np.arange(n_blocks, dtype=np.uint64)
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
+    stage_rows = rows * _STAGE_CHUNKS
     scale = np.sqrt(dt)
-    out = np.empty((paths.size, n_steps))
-    for lo in range(0, paths.size, rows):
-        chunk = paths[lo:lo + rows, None]
-        shape = (chunk.shape[0], n_blocks)
-        c0 = np.empty(shape, dtype=np.uint64)
-        c0[:] = blocks
-        c1 = np.empty(shape, dtype=np.uint64)
-        c1[:] = chunk & _MASK32
-        c2 = np.empty(shape, dtype=np.uint64)
-        c2[:] = chunk >> _S32
-        c3 = np.zeros(shape, dtype=np.uint64)
-        y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
-        # Pack pairs of 32-bit outputs into 64-bit words and keep their top
-        # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).
-        for upper, lower in ((y0, y1), (y2, y3)):
-            np.left_shift(upper, _S32, out=upper)
-            np.bitwise_or(upper, lower, out=upper)
-            np.right_shift(upper, _S11, out=upper)
-        z = out[lo:lo + rows]
-        z[:, 0::2] = y0
-        z[:, 1::2] = y2[:, :n_steps // 2]
-        # Offset by half an ulp: the uniforms lie strictly inside (0, 1).
-        z += 0.5
-        z *= 2.0**-53
-        ndtri(z, out=z)
-        z *= scale
+    out = np.empty((paths.size, n_steps), order="F")
+    stage = np.empty((min(stage_rows, paths.size), n_steps))
+    for top in range(0, paths.size, stage_rows):
+        block = stage[:min(stage_rows, paths.size - top)]
+        for lo in range(0, block.shape[0], rows):
+            chunk = paths[top + lo:top + lo + rows, None]
+            shape = (chunk.shape[0], n_blocks)
+            c0 = np.empty(shape, dtype=np.uint64)
+            c0[:] = blocks
+            c1 = np.empty(shape, dtype=np.uint64)
+            c1[:] = chunk & _MASK32
+            c2 = np.empty(shape, dtype=np.uint64)
+            c2[:] = chunk >> _S32
+            c3 = np.zeros(shape, dtype=np.uint64)
+            y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
+            # Pack pairs of 32-bit outputs into 64-bit words and keep their top
+            # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).
+            for upper, lower in ((y0, y1), (y2, y3)):
+                np.left_shift(upper, _S32, out=upper)
+                np.bitwise_or(upper, lower, out=upper)
+                np.right_shift(upper, _S11, out=upper)
+            z = block[lo:lo + rows]
+            z[:, 0::2] = y0
+            z[:, 1::2] = y2[:, :n_steps // 2]
+            # Offset by half an ulp: the uniforms lie strictly inside (0, 1).
+            z += 0.5
+            z *= 2.0**-53
+            ndtri(z, out=z)
+            z *= scale
+        out[top:top + block.shape[0]] = block
     return out

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import weakerr as we
-from weakerr import rng
+from weakerr import montecarlo, rng
 from weakerr.montecarlo import McConfig, estimate_weak_error, richardson
 from weakerr.rates import oracle_report
 from weakerr.reports import render
@@ -226,6 +227,126 @@ class TestMultiBatchPins:
         assert rep.n_units == 2 * (1 << 14) + 37
         assert self._digest(rep) == (
             "f18419531e310d46a0f739b5b88b56913672dd5479edc3f676404169aba71b0d")
+
+
+def _level_inputs(n_fine):
+    """Normal rows, then rows of +-0.0, +-inf, NaN and 5e-324 (the smallest
+    subnormal), including rows of one value only: all -0.0 must sum to +0.0."""
+    gen = np.random.default_rng(n_fine)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0])
+    mixed = gen.choice(specials, size=(6, n_fine))
+    # sparse specials among normals, so most sums stay finite
+    sparse = gen.normal(size=(3, n_fine))
+    hits = gen.random(size=sparse.shape) < 0.02
+    sparse[hits] = gen.choice(specials[:6], size=hits.sum())
+    single = np.repeat(np.array([[-0.0], [0.0], [5e-324], [-5e-324], [np.nan]]),
+                       n_fine, axis=1)
+    return np.vstack([gen.normal(size=(4, n_fine)), mixed, sparse, single])
+
+
+def _assert_reshape_sum_bits(fine_c, m):
+    """The level builder on step-major rows against numpy's reshape-sum on C-ordered rows."""
+    rows, n_fine = fine_c.shape
+    fine = np.asfortranarray(fine_c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = montecarlo._level_increments(fine, n_fine // m)
+        want = fine_c.reshape(rows, n_fine // m, m).sum(axis=2)
+    if m == 1:
+        assert got is fine
+        return
+    assert got.flags.f_contiguous and not np.shares_memory(got, fine)
+    assert got.shape == want.shape
+    # Every bit of every non-NaN sum, signed zeros included.  Where two NaNs
+    # meet, IEEE 754 leaves open which one propagates (compilers swap the
+    # operands of +), so a NaN sum need only be NaN, as float.hex reads it.
+    got = np.ascontiguousarray(got)
+    nan = np.isnan(want)
+    if got[~nan].tobytes() != want[~nan].tobytes() or not np.isnan(got[nan]).all():
+        bad = np.flatnonzero(((got.view(np.uint64) != want.view(np.uint64)) & ~nan)
+                             | (nan & ~np.isnan(got)))
+        pairs = [(float(got.flat[i]).hex(), float(want.flat[i]).hex()) for i in bad[:5]]
+        raise AssertionError(f"m = {m}: {bad.size} sums differ, e.g. {pairs}")
+
+
+class TestLevelIncrements:
+    """Coarse increments summed from the step-major fine draw keep the bits
+    of ``fine.reshape(rows, n, m).sum(axis=2)`` over C-ordered rows: numpy's
+    pairwise order (left to right below 8 terms; eight strided accumulators
+    up to 128; halves split at a multiple of 8 above), from +0.0."""
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 14])
+    @pytest.mark.parametrize("n_fine", [2048, 1020, 8 * 127, 8 * 129, 8 * 136, 3 * 300])
+    def test_every_divisor_keeps_the_reshape_sum_bits(self, monkeypatch, block, n_fine):
+        # block 1 sums one coarse column at a time, 40 a few, 2^14 the whole level
+        monkeypatch.setattr(montecarlo, "_SUM_BLOCK", block)
+        fine_c = _level_inputs(n_fine)
+        for m in range(1, 1025):
+            if n_fine % m == 0:
+                _assert_reshape_sum_bits(fine_c, m)
+
+    def test_every_group_size_up_to_1024(self):
+        for m in range(1, 1025):
+            _assert_reshape_sum_bits(_level_inputs(2 * m), m)
+
+
+class TestBatchLayout:
+    """What ``run_batch`` hands to ``run_paths``, recorded at each call."""
+
+    @staticmethod
+    def _record(monkeypatch, p, mc):
+        drawn, stepped = [], []
+        draw, step = rng.gaussian_increments, montecarlo.run_paths
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recording_step(p, cfg, incs):
+            stepped.append((len(drawn) - 1, cfg.n_steps, incs.flags.f_contiguous,
+                            np.shares_memory(incs, drawn[-1])))
+            return step(p, cfg, incs)
+
+        monkeypatch.setattr(rng, "gaussian_increments", recording_draw)
+        monkeypatch.setattr(montecarlo, "run_paths", recording_step)
+        monkeypatch.setattr(montecarlo, "_BATCH", 100)
+        estimate_weak_error(p, mc, "implicit")
+        assert all(z.flags.f_contiguous for z in drawn)
+        return drawn, stepped
+
+    def test_tanh_levels_are_step_major_and_the_finest_is_the_draw(self, problems,
+                                                                     monkeypatch):
+        mc = McConfig(levels=(8, 16), n_paths=300, seed=3)  # surrogate: finest_n 128
+        drawn, stepped = self._record(monkeypatch, problems["tanh"], mc)
+        assert len(drawn) == 2
+        for batch in range(2):
+            calls = [c[1:] for c in stepped if c[0] == batch]
+            # ascending levels, each sign once; only the finest shares the draw
+            assert calls == [(n, True, n == 128) for n in (8, 8, 16, 16, 64, 64, 128, 128)]
+
+    def test_ou_finest_level_without_antithetic(self, problems, monkeypatch):
+        mc = McConfig(levels=(8, 32), n_paths=150, seed=4, finest_n=32, antithetic=False)
+        _, stepped = self._record(monkeypatch, problems["ou"], mc)
+        assert [c[1:] for c in stepped] == [(8, True, False), (32, True, True)] * 2
+
+    def test_finer_draw_than_any_level_is_never_stepped(self, problems, monkeypatch):
+        mc = McConfig(levels=(8, 16), n_paths=200, seed=4, finest_n=64)
+        _, stepped = self._record(monkeypatch, problems["ou"], mc)
+        assert [c[1:] for c in stepped] == [(n, True, False) for n in (8, 8, 16, 16)]
+
+
+def test_batch_peak_stays_below_twice_the_fine_draw(problems, monkeypatch):
+    # one 4096-unit tanh batch on 512-step rows: the draw (16 MB) and one
+    # coarse level at a time; holding a second copy of the draw reads 2x
+    monkeypatch.setattr(montecarlo, "_BATCH", 4096)
+    mc = McConfig(levels=(16, 32, 64), n_paths=2 * 4096, seed=5, finest_n=512)
+    fine_bytes = 4096 * 512 * 8
+    tracemalloc.start()
+    try:
+        estimate_weak_error(problems["tanh"], mc, "implicit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * fine_bytes, f"peak {peak / fine_bytes:.2f}x the fine draw"
 
 
 class TestCrnCoupling:

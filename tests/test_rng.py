@@ -147,8 +147,8 @@ class TestGaussianIncrements:
 # ``gaussian_increments`` bytes at dt = 1.0 (the standard normals) and at
 # dt = PIN_DT, for row counts of 1 and one below, at and above the rows of
 # one 2^14-block chunk, with path indices across 2^32 and a seed above 2^63.
-# Chunk sizes of 1 and 3 blocks must give the same bytes; (1, 100) makes 34
-# chunks of up to three rows.
+# Chunk sizes of 1 and 3 blocks, and staging blocks of any number of chunks,
+# must give the same bytes; (1, 100) makes 34 chunks of up to three rows.
 PIN_SEED = 2**63 + 2**32 + 7
 PIN_DT = 0.3
 STREAM_PINS = {
@@ -206,6 +206,7 @@ def _stream_digests(n_steps, rows):
     z = normals(PIN_SEED, paths, n_steps)
     dw = rng.gaussian_increments(PIN_SEED, paths, n_steps, PIN_DT)
     assert z.shape == dw.shape == (rows, n_steps)
+    assert z.flags.f_contiguous and dw.flags.f_contiguous
     return (hashlib.sha256(z.tobytes()).hexdigest(),
             hashlib.sha256(dw.tobytes()).hexdigest())
 
@@ -221,3 +222,21 @@ class TestStreamPins:
     def test_stream_independent_of_chunk_size(self, monkeypatch, chunk, n_steps, rows):
         monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
         assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
+
+    @pytest.mark.parametrize("stage", [1, 2, 5])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("n_steps, rows", [(1, 100), (33, 964), (513, 62)])
+    def test_stream_independent_of_staging_block(self, monkeypatch, stage, chunk,
+                                                 n_steps, rows):
+        # staging blocks of 1, 2 and 5 chunks, the last one cut short
+        monkeypatch.setattr(rng, "_STAGE_CHUNKS", stage)
+        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
+        assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2**20])
+    @pytest.mark.parametrize("n_steps", [1, 33, 512])
+    def test_zero_rows(self, monkeypatch, chunk, n_steps):
+        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
+        dw = rng.gaussian_increments(PIN_SEED, [], n_steps, PIN_DT)
+        assert dw.shape == (0, n_steps) and dw.flags.f_contiguous
+        assert dw.tobytes() == b""
