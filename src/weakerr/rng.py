@@ -41,7 +41,9 @@ _S11 = np.uint64(11)
 # each) stay in L2 cache through the ten rounds.
 _CHUNK_BLOCKS = 2**14
 # Chunks per C-ordered staging block (4 x 256 KB of doubles): the block is
-# still in L2 cache when it is copied into the step-major output.
+# still in L2 cache when it is copied into the step-major output.  Copying
+# one chunk at a time took 36 ms per 16384 x 512 call against 20 ms here,
+# and 220 ms against 169 ms per 512 x 32768 call, where a chunk is one row.
 _STAGE_CHUNKS = 4
 
 

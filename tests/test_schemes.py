@@ -249,9 +249,12 @@ class TestRunPath:
                                               layout):
         p = problems[name]
         incs = we.rng.gaussian_increments(5, np.arange(2000), 64, p.horizon / 64)
-        if layout == "F":
+        if layout == "C":
+            incs = np.ascontiguousarray(incs)
+            assert incs.flags.c_contiguous and not incs.flags.f_contiguous
+        elif layout == "F":
             incs = np.asfortranarray(incs)
-            assert not incs.flags.c_contiguous
+            assert incs.flags.f_contiguous and not incs.flags.c_contiguous
         elif layout == "strided":
             wide = np.zeros((2000, 128))
             wide[:, ::2] = incs
