@@ -304,6 +304,11 @@ def main(argv=None) -> int:
     except (ValueError, TooFewPoints, InsufficientJetOrder) as err:
         print(f"weakerr: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as err:
+        # An oversized grid or node count is a configuration error.
+        print(f"weakerr: out of memory: {args.command} on problem {p.name!r}: {err}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         path = getattr(err, "filename", None)
         print(f"weakerr: IO failure{f' on {path}' if path else ''}: {err}", file=sys.stderr)

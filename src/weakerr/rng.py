@@ -10,12 +10,14 @@ independent.
 Layout: the 128-bit Philox counter holds (block index within the path, low
 and high words of the path index, 0); the 64-bit key is the seed.  Each
 128-bit output block yields two 64-bit words, i.e. two normal draws.
-Normals are generated in cache-sized chunks of rows; every draw depends on
-its own counter alone, so the stream does not depend on the chunk size.
+Normals are generated in chunks of rows of 2^15 Philox blocks, sized to the
+L2 cache and large enough that threads drawing side by side seldom wait for
+the GIL between numpy calls; every draw depends on its own counter alone, so
+the stream does not depend on the chunk size.
 
 The output is step-major (Fortran order): each step's draws for all paths
 are one contiguous column, the layout the steppers read.  Chunks are written
-path by path into a C-ordered staging block of a few chunks (about 1 MB),
+path by path into a C-ordered staging block of two chunks (about 1 MB),
 and each full block is copied into its rows of the output; ``tobytes()``
 reads the same path-major bytes as before.
 """
@@ -37,14 +39,21 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 
-# Philox blocks per chunk of rows: a chunk's six uint64 round arrays (128 KB
-# each) stay in L2 cache through the ten rounds.
-_CHUNK_BLOCKS = 2**14
-# Chunks per C-ordered staging block (4 x 256 KB of doubles): the block is
-# still in L2 cache when it is copied into the step-major output.  Copying
-# one chunk at a time took 36 ms per 16384 x 512 call against 20 ms here,
-# and 220 ms against 169 ms per 512 x 32768 call, where a chunk is one row.
-_STAGE_CHUNKS = 4
+# Philox blocks per chunk of rows: a chunk's six uint64 round arrays (256 KB
+# each, 1.5 MB in all) stay in the 2 MB L2 cache through the ten rounds.
+# Every numpy call releases and retakes the GIL, so a larger chunk means
+# fewer round-trips per normal for threads drawing side by side.  Swept on a
+# 2-vCPU Xeon (numpy 2.4.6), median of 9 mc-affine jobs at two threads, with
+# 2 chunks per staging block: 2.79 s at 2^14 (80k voluntary context switches
+# per job), 2.24 s at 2^15 (22k) and 2.35 s at 2^16 (9k), whose arrays spill
+# out of L2.  One 16384 x 512 call on one thread: 423, 404 and 484 ms.
+_CHUNK_BLOCKS = 2**15
+# Chunks per C-ordered staging block (2 x 512 KB of doubles, about 1 MB): the
+# block is still in L2 cache when it is copied into the step-major output.
+# At 2^15 blocks per chunk, mc-affine jobs took 2.29, 2.24 and 2.30 s with 1,
+# 2 and 4 chunks per block; two threads drawing 16384 x 64 each took 110, 95
+# and 115 ms, and one 16384 x 512 call 397, 404 and 443 ms.
+_STAGE_CHUNKS = 2
 
 
 def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):

@@ -455,6 +455,26 @@ class TestNumericalFailures:
             f"weakerr: numerical failure: {argv[0]} on problem 'edge': ")
 
 
+class TestOutOfMemory:
+    # Each request's first large array needs more than 2^47 bytes, the whole
+    # user address space of x86-64 Linux, so the allocation fails at once
+    # whatever the overcommit policy.
+    @pytest.mark.parametrize("argv", [
+        ("c1", "--quad-nodes", "100000000000000"),
+        ("expand", "--quad-nodes", "100000000000000"),
+        ("psi", "--grid", "100000000000000x1"),
+    ], ids=["c1", "expand", "psi"])
+    def test_oversized_request_is_config_error(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(we.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakerr.cli", argv[0], "--problem", "ou", *argv[1:]],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"weakerr: out of memory: {argv[0]} on problem 'ou'")
+
+
 class TestProblemConfig:
     CFG = """\
 # custom mean-reverting benchmark

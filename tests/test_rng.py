@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,6 +149,8 @@ class TestGaussianIncrements:
 # ``gaussian_increments`` bytes at dt = 1.0 (the standard normals) and at
 # dt = PIN_DT, for row counts of 1 and one below, at and above the rows of
 # one 2^14-block chunk, with path indices across 2^32 and a seed above 2^63.
+# (64, 2500), taken with 2^14-block chunks, spans three 2^15-block chunks of
+# 1024 rows and ends in a partial staging block at the shipped constants.
 # Chunk sizes of 1 and 3 blocks, and staging blocks of any number of chunks,
 # must give the same bytes; (1, 100) makes 34 chunks of up to three rows.
 PIN_SEED = 2**63 + 2**32 + 7
@@ -178,6 +182,8 @@ STREAM_PINS = {
                 "61b922aadcc67a7a09d40b8b2e6cbdf635b5117e6391983616305a51bc8d5b0b"),
     (33, 964): ("1c4254a637bab39493e75d75382bfd3123e6dec477cf44a6b008427497c05888",
                 "a2263690636078432c0f421e9b0672eeb4c5ef1b339e9e8e91c00488e473ebe9"),
+    (64, 2500): ("d15a7eb165148cbbedf488a86f230705253173a361cd0ac4fb3f4baa5cf817f9",
+                 "31725cfc5fc9041be5f4335f38b6680d603994eb24f4132de34b776e9bf9a74d"),
     (512, 1): ("e06235c546b4d9111377f8fd039c76a7741efd81b883bf256767aeff78cb7c5d",
                "c380a3eaee3da529173ddd2b7a5896a6a0e03ad9caf2079e392394ffb9ca6da8"),
     (512, 63): ("f38d90e30bbc9f4c70fc687147a2a7e00e73065074f395057e347b433bfd1692",
@@ -240,3 +246,33 @@ class TestStreamPins:
         dw = rng.gaussian_increments(PIN_SEED, [], n_steps, PIN_DT)
         assert dw.shape == (0, n_steps) and dw.flags.f_contiguous
         assert dw.tobytes() == b""
+
+
+@pytest.mark.parametrize("n_steps, rows", [(64, 16384), (513, 300)])
+def test_concurrent_draws_keep_their_bytes(n_steps, rows):
+    # Two threads enter the generator together; each must get the bytes a
+    # serial call gives, so no scratch space may be shared between calls.
+    calls = [(PIN_SEED, _pin_paths(rows), PIN_DT),
+             (7, np.arange(rows, 2 * rows, dtype=np.uint64), 1.0)]
+    serial = [rng.gaussian_increments(seed, paths, n_steps, dt).tobytes()
+              for seed, paths, dt in calls]
+    barrier = threading.Barrier(len(calls), timeout=60)
+    results = [None] * len(calls)
+
+    def draw(i):
+        seed, paths, dt = calls[i]
+        barrier.wait()
+        results[i] = rng.gaussian_increments(seed, paths, n_steps, dt).tobytes()
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
