@@ -46,13 +46,14 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .counts import is_count
-from .jets import Jet4, jet_derive
+from .jets import Jet4, jet_derive, jet_mul
 from .problems import Problem, marginal_law
 from .schemes import resolvent
 
@@ -111,28 +112,35 @@ def _require_orders(b: Jet4, sigma: Jet4, u: Jet4) -> None:
     sigma.deriv(2)
 
 
-def _pieces(b: Jet4, sigma: Jet4, u: Jet4):
-    """The composite derivatives shared by all three densities."""
+def _pieces(b: Jet4, sigma: Jet4, u: Jet4, scratch=None):
+    """The composite derivatives shared by all three densities.
+
+    With a ``scratch``, the three Leibniz products are written into its arrays.
+    """
+    def product(name, x, y):
+        return jet_mul(x, y, None if scratch is None else scratch.arrays(name, 5))
+
     du = jet_derive(u)
     lap_u = jet_derive(du)
-    b_du = b * du
+    b_du = product("b_du", b, du)
     d_bdu = jet_derive(b_du)
     lap_bdu = jet_derive(d_bdu)
-    sig2 = sigma * sigma
-    sig2_lap = sig2 * lap_u
+    sig2 = product("sig2", sigma, sigma)
+    sig2_lap = product("sig2_lap", sig2, lap_u)
     d_sig2lap = jet_derive(sig2_lap)
     lap_sig2lap = jet_derive(d_sig2lap)
     return du, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap
 
 
-def eval_psi(kind: PsiKind, b: Jet4, sigma: Jet4, u: Jet4):
+def eval_psi(kind: PsiKind, b: Jet4, sigma: Jet4, u: Jet4, scratch=None):
     """Evaluate the selected density at one jet point or a batch of them.
 
-    psi_ih takes its step size from ``kind``.
+    psi_ih takes its step size from ``kind``.  ``scratch`` is the arrays
+    :func:`expect_psi` keeps for its grids; the value does not depend on it.
     """
     _require_orders(b, sigma, u)
 
-    _, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap = _pieces(b, sigma, u)
+    _, lap_u, d_bdu, lap_bdu, sig2, d_sig2lap, lap_sig2lap = _pieces(b, sigma, u, scratch)
     bv = b.value()
     s2 = sig2.value()
     lap = lap_u.value()
@@ -231,15 +239,54 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
 # integration against the exact law of X_t
 # ---------------------------------------------------------------------------
 
-def psi_at(p: Problem, kind: PsiKind, t, x):
+def psi_at(p: Problem, kind: PsiKind, t, x, scratch=None):
     """The selected density at (t, x) using the problem's coefficient jets.
 
     ``x`` may be an array of points, and ``t`` an array of times that
     broadcasts against it; the result is then the array of values.
+    ``scratch`` is passed on to :func:`eval_psi`.
     """
     if p.u_jet is None:
         raise ValueError(f"problem {p.name!r} has no closed-form u")
-    return eval_psi(kind, p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x))
+    return eval_psi(kind, p.b_jet(x), p.sigma_jet(x), p.u_jet(t, x), scratch=scratch)
+
+
+class _Scratch:
+    """Grid arrays that :func:`expect_psi` writes into instead of new ones.
+
+    Each name gets its arrays of ``capacity`` time rows the first time it is
+    asked for, and keeps them; ``rows``, set per grid, cuts them to the
+    grid's time nodes.  Every array is written before it is read.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rows = capacity
+        self._arrays = {}
+
+    def arrays(self, name: str, count: int, cols: int = _GH_POINTS) -> list:
+        kept = self._arrays.get(name)
+        if kept is None:
+            kept = self._arrays[name] = [np.empty((self.capacity, cols))
+                                         for _ in range(count)]
+        return [a[:self.rows] for a in kept]
+
+
+# One _Scratch of _T_CHUNK rows per thread, kept for the thread's life (about
+# 0.6 MB).  Made anew for each grid, the same memory went back to the system
+# after every grid and was paged in again for the next.
+_THREAD = threading.local()
+
+
+def _scratch(rows: int) -> _Scratch:
+    """The calling thread's scratch, cut to ``rows``; one for this grid alone above _T_CHUNK."""
+    if rows > _T_CHUNK:
+        return _Scratch(rows)
+    scratch = getattr(_THREAD, "scratch", None)
+    if scratch is None:
+        scratch = _THREAD.scratch = _Scratch(_T_CHUNK)
+    scratch.rows = rows
+    return scratch
 
 
 def expect_psi(p: Problem, kind: PsiKind, t):
@@ -257,15 +304,19 @@ def expect_psi(p: Problem, kind: PsiKind, t):
     laws = [marginal_law(p, s) for s in ts]
     mean = np.array([law.mean for law in laws])[:, None]
     sd = np.sqrt(np.array([law.variance for law in laws]))[:, None]
-    xs = mean + sd * _GH_Z
+    scratch = _scratch(len(ts))
+    xs, = scratch.arrays("nodes", 1)
+    np.add(mean, np.multiply(sd, _GH_Z, out=xs), out=xs)
     if laws[0].family == "lognormal":
-        xs = np.exp(xs)
-    terms = np.zeros((len(ts), 1 + _GH_POINTS))
-    terms[:, 1:] = _GH_W * psi_at(p, kind, ts[:, None], xs)
+        np.exp(xs, out=xs)
+    terms, sums = scratch.arrays("terms", 2, cols=1 + _GH_POINTS)
+    terms[:, 0] = 0.0
+    np.multiply(_GH_W, psi_at(p, kind, ts[:, None], xs, scratch=scratch),
+                out=terms[:, 1:])
     # Each row is added left to right from 0, as the builtin sum over scalar
     # nodes would; np.sum adds pairwise and would change the bits.
-    acc = np.add.accumulate(terms, axis=1)[:, -1]
-    return float(acc[0]) if np.ndim(t) == 0 else acc
+    acc = np.add.accumulate(terms, axis=1, out=sums)[:, -1]
+    return float(acc[0]) if np.ndim(t) == 0 else acc.copy()
 
 
 def _time_integral(p: Problem, kind: PsiKind, panels: int) -> float:

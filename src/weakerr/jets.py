@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 JET_ORDER = 4
 
 # _BINOM[k][j] = C(k, j), needed by the Leibniz product rule.
@@ -109,17 +111,30 @@ def jet_add(a: Jet4, b: Jet4) -> Jet4:
     return Jet4(_masked(d, order), order)
 
 
-def jet_mul(a: Jet4, b: Jet4) -> Jet4:
-    """Leibniz product truncated at order 4.
+def jet_mul(a: Jet4, b: Jet4, out=None) -> Jet4:
+    """Leibniz product, trustworthy through min(valid orders).
 
-    ``result.d[k] = sum_j C(k, j) * a.d[j] * b.d[k-j]``.
+    ``result.d[k] = sum_j C(k, j) * a.d[j] * b.d[k-j]``, added left to right
+    from 0 as the builtin ``sum`` would, for each k up to that order; the
+    slots above it are placeholders and are not computed.
+
+    ``out``, if given, holds one array per slot, shaped like the batch and
+    sharing no memory with ``a`` or ``b``.  A slot whose sum is an array is
+    then summed into ``out[k]`` instead of a new array, with the same bits.
     """
     order = min(a.valid_order, b.valid_order)
-    d = tuple(
-        sum(_BINOM[k][j] * a.d[j] * b.d[k - j] for j in range(k + 1))
-        for k in range(JET_ORDER + 1)
-    )
-    return Jet4(_masked(d, order), order)
+    d = []
+    for k in range(order + 1):
+        acc = 0
+        for j in range(k + 1):
+            term = _BINOM[k][j] * a.d[j] * b.d[k - j]
+            if out is not None and (isinstance(acc, np.ndarray)
+                                    or isinstance(term, np.ndarray)):
+                acc = np.add(acc, term, out=out[k])
+            else:
+                acc = acc + term
+        d.append(acc)
+    return Jet4(tuple(d) + (0.0,) * (JET_ORDER - order), order)
 
 
 def jet_derive(a: Jet4) -> Jet4:

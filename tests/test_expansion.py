@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -427,10 +429,58 @@ class TestGaussHermiteRowSum:
         v[5, [1, 40]] = [np.inf, -np.inf]
         v[6, 0] = np.nan
         v[7] = 1e308
-        monkeypatch.setattr(we.expansion, "psi_at", lambda p, kind, t, x: v)
+        monkeypatch.setattr(we.expansion, "psi_at", lambda p, kind, t, x, scratch=None: v)
         with np.errstate(invalid="ignore", over="ignore"):
             got = expect_psi(problems["ou"], PSI_I, np.linspace(0.1, 0.9, 9))
             want = self.loop_sums(v)
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert got[0].hex() == "0x0.0p+0"
         assert np.isposinf(got[3]) and np.isneginf(got[4]) and np.isnan(got[5])
+
+
+class TestScratch:
+    """expect_psi's grids reuse one set of arrays per thread, with the bits of
+    new arrays, and hand no scratch memory to the caller."""
+
+    def test_results_do_not_share_the_scratch(self, problems):
+        p = problems["gbm"]
+        first = expect_psi(p, PSI_I, np.linspace(0.1, 0.9, 64))
+        kept = first.copy()
+        expect_psi(p, PSI_E, np.linspace(0.2, 0.3, 64))
+        assert first.tobytes() == kept.tobytes()
+
+    def test_long_time_array_equals_chunks(self, problems):
+        # more time nodes than one kept scratch holds, then a short grid
+        p = problems["gbm"]
+        ts = np.linspace(0.0, 1.0, 150)
+        whole = expect_psi(p, PSI_I, ts)
+        parts = [expect_psi(p, PSI_I, ts[lo:lo + 64]) for lo in range(0, 150, 64)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        assert expect_psi(p, PSI_I, ts[:3]).tobytes() == whole[:3].tobytes()
+
+    def test_threads_keep_their_own_scratch(self, problems):
+        # more threads than cores, switching often, each integrating its own
+        # problem and density: every result must equal the serial one
+        jobs = [(problems[name], kind) for name in ("ou", "gbm", "bm")
+                for kind in (PSI_I, PSI_E)]
+        serial = [leading_constant(p, kind, quad_nodes=13) for p, kind in jobs]
+        barrier = threading.Barrier(len(jobs), timeout=60)
+        results = [None] * len(jobs)
+
+        def run(i):
+            barrier.wait()
+            results[i] = leading_constant(*jobs[i], quad_nodes=13)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+

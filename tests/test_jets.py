@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weakerr.jets import InsufficientJetOrder, Jet4, jet_add, jet_derive, jet_mul
+from weakerr.jets import JET_ORDER, InsufficientJetOrder, Jet4, jet_add, jet_derive, jet_mul
 
 entries = st.floats(min_value=-2.0, max_value=2.0)
 full_jets = st.builds(lambda v: Jet4(tuple(v)), st.lists(entries, min_size=5, max_size=5))
@@ -216,3 +216,49 @@ class TestArraySlots:
         assert out.valid_order == 1
         assert out.d[2:] == (0.0, 0.0, 0.0)
         assert np.array_equal(out.deriv(1), [3.0 * 0.125 + 0.75, 4.0 * -3.375 + 2.0 * 6.75])
+
+
+def _bits(jet):
+    return [np.asarray(v, dtype=float).tobytes() for v in jet.d]
+
+
+class TestProductInto:
+    """``jet_mul(a, b, out)`` sums the array slots into ``out``, bit for bit
+    as without it, and computes no slot above the valid order."""
+
+    @given(jet_lists)
+    def test_same_bits_as_new_arrays(self, pairs):
+        a, b = _batch([p[0] for p in pairs]), _batch([p[1] for p in pairs])
+        out = [np.full(len(pairs), np.nan) for _ in range(5)]
+        got = jet_mul(a, b, out)
+        assert _bits(got) == _bits(jet_mul(a, b))
+        assert all(got.d[k] is out[k] for k in range(got.valid_order + 1))
+
+    def test_scalar_and_non_finite_slots(self):
+        # 0 * inf terms must still make NaN, and all-scalar slots stay scalars
+        x = np.array([np.inf, -0.0, 1e308, np.nan])
+        a = Jet4((x, 2.0, 0.0, 0.0, 0.0))
+        b = Jet4((x, -x, 3.0, 0.0, 0.0), valid_order=3)
+        c = Jet4.constant(0.5)
+        for lhs, rhs in ((a, b), (b, a), (a, c), (c, a), (c, c)):
+            out = [np.empty(4) for _ in range(5)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = jet_mul(lhs, rhs, out)
+                want = jet_mul(lhs, rhs)
+            assert _bits(got) == _bits(want)
+            for g, w in zip(got.d, want.d):
+                assert isinstance(g, np.ndarray) == isinstance(w, np.ndarray)
+
+    @pytest.mark.parametrize("order", range(JET_ORDER + 1))
+    def test_placeholders_stay_zero_and_unreadable(self, order):
+        a = Jet4(tuple(np.arange(1.0, 4.0) + k for k in range(5)), valid_order=order)
+        b = _batch([jet_x3(0.5), jet_x3(-1.5), jet_x3(2.0)])
+        out = [np.full(3, np.nan) for _ in range(5)]
+        got = jet_mul(a, b, out)
+        assert got.valid_order == order
+        for k in range(order + 1, JET_ORDER + 1):
+            assert type(got.d[k]) is float and got.d[k] == 0.0
+            assert np.isnan(out[k]).all()  # never computed
+            with pytest.raises(InsufficientJetOrder):
+                got.deriv(k)
+        assert _bits(got) == _bits(jet_mul(a, b))
