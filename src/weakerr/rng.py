@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .counts import is_count, is_uint64
 
@@ -118,6 +117,9 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     if not is_uint64(seed):
         raise ValueError("seed must be an integer that fits in 64 unsigned bits")
     paths = _check_paths(path_indices)
+    # Imported here, once per call: scipy.special costs about 0.25 s and
+    # 20 MB to load, and only a draw needs it.
+    from scipy.special import ndtri
     k0, k1 = int(seed) & 0xFFFFFFFF, int(seed) >> 32
     n_blocks = (n_steps + 1) // 2
     blocks = np.arange(n_blocks, dtype=np.uint64)

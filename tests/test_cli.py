@@ -455,6 +455,53 @@ class TestNumericalFailures:
             f"weakerr: numerical failure: {argv[0]} on problem 'edge': ")
 
 
+# Runs weakerr in a fresh interpreter and reports, after the import, after
+# get_problem and after each CLI command in turn, whether scipy.special is
+# loaded, with the SHA-256 of each command's stdout.
+COLD_START = """
+import contextlib, hashlib, io, json, sys
+import weakerr
+from weakerr.cli import main
+steps = [["import", "scipy.special" in sys.modules, None]]
+weakerr.get_problem("ou")
+steps.append(["get_problem", "scipy.special" in sys.modules, None])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    steps.append([" ".join(argv), "scipy.special" in sys.modules,
+                  hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_draw_loads_scipy_special(tmp_path):
+    # The noise-free commands never draw a normal, so they must start without
+    # scipy.special; mc loads it at its first draw, with the pinned bytes.
+    quick = ("--problem", "ou", "--levels", "16,32,64")
+    noise_free = [
+        ("oracle", "--problem", "gbm", "--n-steps", "16"),
+        ("c1", "--problem", "gbm", "--quad-nodes", "8"),
+        TestOutput.COMMANDS["expand"],
+        ("psi", "--problem", "gbm", "--grid", "3x4"),
+        ("converge", *quick),
+        ("richardson", "--estimator", "oracle", *quick),
+    ]
+    argvs = [list(argv) for argv in (*noise_free, TestOutput.COMMANDS["mc"])]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(we.__file__)))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert [loaded for _, loaded, _ in steps] == [False] * (2 + len(noise_free)) + [True]
+    digests = {label: digest for label, _, digest in steps}
+    assert digests[" ".join(TestOutput.COMMANDS["expand"])] == (
+        TestOutput.ORACLE_SHA256["expand-ou"][1])
+    assert digests[" ".join(TestOutput.COMMANDS["mc"])] == (
+        "a1243ac3045b8d639a7c3db62e0fa0bff34716edb64a7f2b5757ec8051ca0a83")
+
+
 class TestOutOfMemory:
     # Each request's first large array needs more than 2^47 bytes, the whole
     # user address space of x86-64 Linux, so the allocation fails at once

@@ -1,4 +1,7 @@
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 
@@ -484,3 +487,44 @@ class TestScratch:
         assert not any(t.is_alive() for t in threads)
         assert results == serial
 
+
+# Minor page faults of expand jobs (ou and gbm, 64 panels: 48 grids of
+# 64 x 64 nodes) in a fresh interpreter without scipy.special, after two
+# jobs that fill the caches; prints the faults of each of five more jobs.
+FAULT_PROBE = """
+import resource, sys
+import weakerr
+from weakerr.expansion import PSI_I
+from weakerr.rates import expansion_check
+assert "scipy.special" not in sys.modules
+problems = [weakerr.get_problem(name) for name in ("ou", "gbm")]
+
+def job():
+    for p in problems:
+        expansion_check(p, (16, 32, 64, 128, 256, 512), kind=PSI_I, quad_nodes=64)
+
+job(); job()
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    job()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="the fault count follows glibc's heap trimming")
+def test_c1_working_memory_stays_resident(tmp_path):
+    # glibc gives the top of its heap back to the system once more than
+    # 128 KB of it is free; a C1 grid that allocated its ~0.5 MB of
+    # temporaries afresh paged them in again every grid, over a thousand
+    # faults per job, whenever no large block freed earlier (scipy.special's
+    # import frees one) had raised that threshold.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(we.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = sorted(int(v) for v in proc.stdout.split())
+    assert faults[len(faults) // 2] <= 364, faults

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -276,3 +278,44 @@ def test_concurrent_draws_keep_their_bytes(n_steps, rows):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == serial
+
+
+# Two threads make the first draws of a fresh interpreter together, so that
+# both reach the generator's import of scipy.special at once: the first
+# batches of a Monte Carlo pool do this.  Prints the SHA-256 of each draw.
+FIRST_DRAWS = """
+import hashlib, sys, threading
+import numpy as np
+from weakerr import rng
+assert "scipy.special" not in sys.modules
+seed, rows, n_steps = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+paths = np.uint64(2**32 - 2) + np.uint64(3) * np.arange(rows, dtype=np.uint64)
+dts = (1.0, float(sys.argv[4]))
+barrier = threading.Barrier(len(dts), timeout=60)
+digests = [None] * len(dts)
+
+def draw(i):
+    barrier.wait()
+    z = rng.gaussian_increments(seed, paths, n_steps, dts[i])
+    digests[i] = hashlib.sha256(z.tobytes()).hexdigest()
+
+threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(dts))]
+sys.setswitchinterval(1e-5)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+print(" ".join(digests))
+"""
+
+
+@pytest.mark.parametrize("n_steps, rows", [(64, 2500), (1, 16384)])
+def test_concurrent_first_draws_keep_their_bytes(tmp_path, n_steps, rows):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rng.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_DRAWS, str(PIN_SEED), str(rows), str(n_steps),
+         repr(PIN_DT)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.split()) == STREAM_PINS[n_steps, rows]
