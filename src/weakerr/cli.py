@@ -289,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # What the failure lines name: the subcommand, and its problem once built.
+    where = args.command
     try:
         # The exit-3 line below reports a numerical failure; numpy's
         # RuntimeWarnings on the way to it would only repeat it.  The filter
@@ -296,18 +298,17 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             p = _resolve_problem(args)
+            where = f"{args.command} on problem {p.name!r}"
             args.func(args, p)
     except (NoConvergence, ArithmeticError) as err:
-        print(f"weakerr: numerical failure: {args.command} on problem {p.name!r}: {err}",
-              file=sys.stderr)
+        print(f"weakerr: numerical failure: {where}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TooFewPoints, InsufficientJetOrder) as err:
         print(f"weakerr: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as err:
         # An oversized grid or node count is a configuration error.
-        print(f"weakerr: out of memory: {args.command} on problem {p.name!r}: {err}",
-              file=sys.stderr)
+        print(f"weakerr: out of memory: {where}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         path = getattr(err, "filename", None)

@@ -219,7 +219,13 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
         def sigma_jet(x, order: int = 4) -> Jet4:
             return Jet4((s1 * x, s1, 0.0, 0.0, 0.0))
 
-        exponents = [j * b1 + 0.5 * j * (j - 1) * s1**2 for j in range(len(f_poly))]
+        try:
+            exponents = [j * b1 + 0.5 * j * (j - 1) * s1**2 for j in range(len(f_poly))]
+        except OverflowError:
+            exponents = [math.inf]
+        if not all(math.isfinite(r) for r in exponents):
+            raise ValueError(f"the closed-form exponents j*b1 + j(j-1)/2*s1^2 are not "
+                             f"finite at b1 = {b1!r}, s1 = {s1!r}")
 
         def pushed(tau: float) -> tuple:
             return tuple(c * math.exp(r * tau) for c, r in zip(f_poly, exponents))

@@ -502,6 +502,29 @@ def test_only_a_draw_loads_scipy_special(tmp_path):
         "a1243ac3045b8d639a7c3db62e0fa0bff34716edb64a7f2b5757ec8051ca0a83")
 
 
+class TestFailuresBeforeTheProblemIsBuilt:
+    def test_overflowing_lognormal_config_is_config_error(self, capsys, tmp_path):
+        # s1**2 overflows a float: refused by name, not a traceback
+        path = tmp_path / "prob.cfg"
+        path.write_text("mu = 0.05\ns = 1e200\n")
+        code, out, err = run_cli(capsys, "oracle", "--config", str(path), "--n-steps", "8")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("weakerr: the closed-form exponents j*b1 + j(j-1)/2*s1^2 are not "
+                       "finite at b1 = 0.05, s1 = 1e+200\n")
+
+    @pytest.mark.parametrize("exc,code,line", [
+        (OverflowError("boom"), EXIT_NUMERICAL, "weakerr: numerical failure: oracle: boom\n"),
+        (MemoryError("boom"), EXIT_CONFIG, "weakerr: out of memory: oracle: boom\n"),
+    ], ids=["overflow", "memory"])
+    def test_resolving_failure_names_the_command(self, capsys, monkeypatch, exc, code, line):
+        def resolve(args):
+            raise exc
+        monkeypatch.setattr(we.cli, "_resolve_problem", resolve)
+        got, out, err = run_cli(capsys, "oracle", "--n-steps", "8")
+        assert (got, out, err) == (code, "", line)
+
+
 class TestOutOfMemory:
     # Each request's first large array needs more than 2^47 bytes, the whole
     # user address space of x86-64 Linux, so the allocation fails at once

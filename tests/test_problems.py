@@ -249,6 +249,21 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match=f"'{key}' must be finite"):
             build("x", **kwargs)
 
+    @pytest.mark.parametrize("mu,s,f_poly", [
+        (0.05, 1e200, (0.0, 0.0, 1.0)),       # s1**2 raises OverflowError
+        (0.05, 1e200, (1.0,)),                # s1**2 is computed at j = 0 too
+        (0.05, 1e154, (0.0, 0.0, 0.0, 0.0, 1.0)),  # s1**2 finite, 6 s1**2 not
+        (1e308, 0.2, (0.0, 0.0, 1.0)),        # 2*b1 overflows
+    ])
+    def test_lognormal_exponents_must_be_finite(self, mu, s, f_poly):
+        with pytest.raises(ValueError, match=r"exponents .* not finite at b1 = .*, s1 = "):
+            we.gbm_family_problem("x", mu=mu, s=s, f_poly=f_poly, x0=1.0, horizon=1.0)
+
+    def test_largest_finite_lognormal_exponents_accepted(self):
+        p = we.gbm_family_problem("x", mu=0.05, s=1e154, f_poly=(0.0, 1.0), x0=1.0,
+                                  horizon=1.0)
+        assert p.exact_terminal() == pytest.approx(math.exp(0.05))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["b1", "s0", "s1"])
     def test_affine_model_refuses_non_finite(self, key, bad):
