@@ -34,13 +34,15 @@ The densities accept jets whose slots are arrays (a batch of points, see
 Gauss-Hermite nodes of 64 time nodes, as a (time, space) grid.  Each time
 node's law and u coefficients come from scalar code, since an array ``exp``
 over the times rounds differently; the u jet computes each power of x once
-for the whole grid.  The sums run in the order of a loop over scalar nodes:
-one ``np.add.accumulate`` from a zero column adds each grid row left to
-right, and one more adds the weighted time nodes in node order.  Squares go
-through ``np.float_power`` rather than ``**``: numpy computes an array
-``v**2`` as ``v*v``, which rounds differently from the C library's ``pow``
-that a float ``v**2`` calls, and the batch must reproduce the scalar values
-bit for bit.
+for the whole grid.  The grid's nodes, weighted terms and row sums, and the
+three Leibniz products of the densities, go into arrays that each thread
+keeps from grid to grid (``_Scratch``).  The sums run in the order of a
+loop over scalar nodes: one ``np.add.accumulate`` from a zero column adds
+each grid row left to right, and one more adds the weighted time nodes in
+node order.  Squares go through ``np.float_power`` rather than ``**``:
+numpy computes an array ``v**2`` as ``v*v``, which rounds differently from
+the C library's ``pow`` that a float ``v**2`` calls, and the batch must
+reproduce the scalar values bit for bit.
 """
 
 from __future__ import annotations
@@ -273,8 +275,11 @@ class _Scratch:
 
 
 # One _Scratch of _T_CHUNK rows per thread, kept for the thread's life (about
-# 0.6 MB).  Made anew for each grid, the same memory went back to the system
-# after every grid and was paged in again for the next.
+# 0.6 MB).  When each grid allocated these arrays afresh, glibc gave the freed
+# memory back to the system after every grid and the next grid paged it in
+# again: over a thousand minor faults per expand-affine job, unless a large
+# block freed earlier (importing scipy.special frees one) had raised glibc's
+# trim threshold.
 _THREAD = threading.local()
 
 

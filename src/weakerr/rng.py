@@ -5,7 +5,10 @@ through the keyed Philox4x32-10 block cipher, so any path is reproducible in
 isolation and whole blocks of paths can be generated in any order or in
 parallel with bitwise-identical results.  Normals come from the inverse CDF
 applied to 53-bit uniforms (no rejection sampling), keeping streams platform
-independent.
+independent.  The inverse CDF is ``scipy.special.ndtri``, imported at the
+first draw rather than with this module, so that a process that never draws
+(the noise-free oracle, C1 and expansion commands) does not load
+``scipy.special``.
 
 Layout: the 128-bit Philox counter holds (block index within the path, low
 and high words of the path index, 0); the 64-bit key is the seed.  Each
@@ -117,8 +120,8 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     if not is_uint64(seed):
         raise ValueError("seed must be an integer that fits in 64 unsigned bits")
     paths = _check_paths(path_indices)
-    # Imported here, once per call: scipy.special costs about 0.25 s and
-    # 20 MB to load, and only a draw needs it.
+    # Once per call: loading scipy.special takes about 0.25 s and 20 MB of
+    # resident memory, and only a draw needs it.
     from scipy.special import ndtri
     k0, k1 = int(seed) & 0xFFFFFFFF, int(seed) >> 32
     n_blocks = (n_steps + 1) // 2
