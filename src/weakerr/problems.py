@@ -211,6 +211,12 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
     b1, s0, s1 = model.b1, model.s0, model.s1
 
     if s1 == 0.0:
+        try:
+            s0**2  # as _ou_transition squares it
+        except OverflowError:
+            raise ValueError(f"the closed-form variance sigma^2 is not finite at "
+                             f"s0 = {s0!r}") from None
+
         def sigma_jet(x, order: int = 4) -> Jet4:
             return Jet4.constant(s0)
 

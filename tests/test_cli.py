@@ -513,6 +513,32 @@ class TestFailuresBeforeTheProblemIsBuilt:
         assert err == ("weakerr: the closed-form exponents j*b1 + j(j-1)/2*s1^2 are not "
                        "finite at b1 = 0.05, s1 = 1e+200\n")
 
+    @pytest.mark.parametrize("theta", ["1", "0"])
+    @pytest.mark.parametrize("command", [("oracle", "--n-steps", "8"), ("c1",)])
+    def test_overflowing_gaussian_variance_is_config_error(self, capsys, tmp_path, theta,
+                                                           command):
+        # sigma**2 overflows a float: refused by name, not an errno tuple at exit 3
+        path = tmp_path / "prob.cfg"
+        path.write_text(f"theta = {theta}\nsigma = 1e200\n")
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("weakerr: the closed-form variance sigma^2 is not finite at "
+                       "s0 = 1e+200\n")
+
+    @pytest.mark.parametrize("theta,digest", [
+        ("1", "835468aa10f580311a09c43a0c65afdf27a4d5c829532e55e964fccdc618434a"),
+        ("0", "57ca870639278054931fc6ba0bff0a2556951cd4c2e4cef9a86cf49ff44a334a"),
+    ])
+    def test_largest_finite_gaussian_variance_keeps_its_bytes(self, capsys, tmp_path,
+                                                              theta, digest):
+        # sigma**2 = 1e308 is finite: the oracle report is unchanged
+        path = tmp_path / "prob.cfg"
+        path.write_text(f"theta = {theta}\nsigma = 1e154\n")
+        code, out, _ = run_cli(capsys, "oracle", "--config", str(path), "--n-steps", "8")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("exc,code,line", [
         (OverflowError("boom"), EXIT_NUMERICAL, "weakerr: numerical failure: oracle: boom\n"),
         (MemoryError("boom"), EXIT_CONFIG, "weakerr: out of memory: oracle: boom\n"),

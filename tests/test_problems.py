@@ -259,6 +259,14 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match=r"exponents .* not finite at b1 = .*, s1 = "):
             we.gbm_family_problem("x", mu=mu, s=s, f_poly=f_poly, x0=1.0, horizon=1.0)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [1e200, 1.4e154])
+    def test_gaussian_variance_must_be_finite(self, theta, sigma):
+        # sigma**2 raises OverflowError: refused by name at build time
+        with pytest.raises(ValueError, match=r"sigma\^2 .* not finite at s0 = "):
+            we.ou_family_problem("x", theta=theta, sigma=sigma, f_poly=(0.0, 0.0, 1.0),
+                                 x0=1.0, horizon=1.0)
+
     def test_largest_finite_lognormal_exponents_accepted(self):
         p = we.gbm_family_problem("x", mu=0.05, s=1e154, f_poly=(0.0, 1.0), x0=1.0,
                                   horizon=1.0)
