@@ -11,15 +11,19 @@ independent of batch execution order or worker count.
 Each batch draws its fine increments once, step-major (Fortran order), from
 :func:`weakerr.rng.gaussian_increments`, and every level reaches
 :func:`run_paths` step-major, so that each step reads one contiguous column.
-The finest level is the draw itself, not a copy: levels ascend and divide
-the finest grid, so it is stepped last and its antithetic pass negates it
-in place.  Each coarser level is one new array, summed from the contiguous
-column views ``fine[:, k::m]`` in the order of numpy's path-major
-``fine.reshape(rows, n, m).sum(axis=2)``, written out in
-:func:`_pairwise_sum`, so every coarse increment keeps its bits; at most one
-coarse level is alive at a time.  Elementwise arithmetic does not depend on
-memory order, so the layout cannot change a result (the tests pin the same
-bytes for C-ordered, Fortran-ordered and strided increments).
+A batch holds one draw-sized array.  The finest level is the draw itself,
+not a copy, and its antithetic pass negates it in place.  Coarse levels
+are summed from the column views ``fine[:, k::m]`` in the order of numpy's
+path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+:func:`_pairwise_sum`, so every coarse increment keeps its bits.  They run
+in ascending order, each as one new array, except the largest: it runs
+last, after the finest level when that is the draw, and is summed into the
+draw's own leading columns ``fine[:, :n]`` (through ``np.negative`` when
+the antithetic pass has left the draw negated).  So at most one coarse
+array is alive at a time, and the largest level needs none.  Elementwise
+arithmetic does not depend on memory order, so the layout cannot change a
+result (the tests pin the same bytes for C-ordered, Fortran-ordered and
+strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -137,26 +141,45 @@ class RichardsonPoint:
     stderr: float
 
 
-def _level_increments(fine: np.ndarray, n_steps: int) -> np.ndarray:
+def _level_increments(fine: np.ndarray, n_steps: int, *, in_place: bool = False,
+                      negated: bool = False) -> np.ndarray:
     """The increments of the ``n_steps``-step level, summed from step-major ``fine``.
 
     With m = fine steps per coarse step, m = 1 returns ``fine`` itself.
     Otherwise coarse step i is the sum of fine columns i*m .. i*m + m - 1,
     added in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
     on C-ordered rows, so every increment keeps the bits of the path-major
-    reshape-sum (see :func:`_pairwise_sum`).  The result is a new
-    Fortran-ordered array: column views ``fine[:, k::m]`` are added one
-    block of coarse columns at a time.
+    reshape-sum (see :func:`_pairwise_sum`).  Column views ``fine[:, k::m]``
+    are added one block of coarse columns at a time, into a new
+    Fortran-ordered array, or with ``in_place`` into the contiguous leading
+    columns ``fine[:, :n_steps]``, whose view is returned; the rest of
+    ``fine`` is then spent.  In place, each block is summed into a scratch
+    and then copied: the first block overlaps its own source columns, and
+    every later one reads only columns past those already written.
+    ``negated`` says that ``fine`` holds the negated draw: the sums are
+    copied out through ``np.negative``, which gives the level of the draw
+    itself, bit for bit, since round-to-nearest addition is sign-symmetric.
     """
     rows, n_fine = fine.shape
     m = n_fine // n_steps
     if m == 1:
         return fine
-    out = np.empty((rows, n_steps), order="F")
     width = max(1, _SUM_BLOCK // rows)
+    if in_place:
+        out = fine[:, :n_steps]
+        scratch = np.empty((rows, min(width, n_steps)), order="F")
+    else:
+        out = np.empty((rows, n_steps), order="F")
     for lo in range(0, n_steps, width):
-        _pairwise_sum(fine[:, lo * m:(lo + width) * m], m, 0, m, out[:, lo:lo + width])
-    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
+        dst = out[:, lo:lo + width]
+        sums = scratch[:, :dst.shape[1]] if in_place else dst
+        _pairwise_sum(fine[:, lo * m:(lo + width) * m], m, 0, m, sums)
+        if negated:
+            np.negative(sums, out=dst)
+        elif in_place:
+            np.copyto(dst, sums)
+    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0, and so is
+    # a negated zero sum
     out += 0.0
     return out
 
@@ -260,11 +283,25 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         hi = min(lo + _BATCH, n_units)
         idx = np.arange(lo, hi, dtype=np.uint64)
         fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
-        vals = []
-        # Levels ascend and divide finest_n, so a level that is the fine draw
-        # itself comes last, and its antithetic pass may negate it in place.
-        for cfg in configs:
-            incs = _level_increments(fine, cfg.n_steps)
+        vals = [None] * len(configs)
+        # Levels ascend and divide finest_n.  A level that is the fine draw
+        # itself is stepped before the largest coarse level, and its
+        # antithetic pass negates it in place; that coarse level goes last,
+        # summed into the draw's own leading columns.
+        fine_is_level = configs[-1].n_steps == finest_n
+        order = list(range(len(configs)))
+        if fine_is_level and len(order) > 1:
+            order[-2:] = order[-1], order[-2]
+        for j in order:
+            cfg = configs[j]
+            if cfg.n_steps == finest_n:
+                incs = fine
+            elif j == order[-1]:
+                # after the fine level's antithetic pass the draw is negated
+                incs = _level_increments(fine, cfg.n_steps, in_place=True,
+                                         negated=mc.antithetic and fine_is_level)
+            else:
+                incs = _level_increments(fine, cfg.n_steps)
             try:
                 v = payoffs(cfg, incs)
                 if mc.antithetic:
@@ -276,7 +313,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                     f"level {cfg.n_steps}, path {path}: {err}",
                     step_index=err.step_index, path_index=path) from err
             del incs  # at most one coarse level alive at a time
-            vals.append(v)
+            vals[j] = v
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]
         else:
