@@ -18,12 +18,13 @@ path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
 :func:`_pairwise_sum`, so every coarse increment keeps its bits.  They run
 in ascending order, each as one new array, except the largest: it runs
 last, after the finest level when that is the draw, and is summed into the
-draw's own leading columns ``fine[:, :n]`` (through ``np.negative`` when
-the antithetic pass has left the draw negated).  So at most one coarse
-array is alive at a time, and the largest level needs none.  Elementwise
-arithmetic does not depend on memory order, so the layout cannot change a
-result (the tests pin the same bytes for C-ordered, Fortran-ordered and
-strided increments).
+draw's own leading columns ``fine[:, :n]``.  So at most one coarse array is
+alive at a time, and the largest level needs none.  Summed from a draw the
+antithetic pass has negated, that level comes out negated, bit for bit
+(round-to-nearest addition is sign-symmetric), so its two passes merely run
+in the other order.  Elementwise arithmetic does not depend on memory order,
+so the layout cannot change a result (the tests pin the same bytes for
+C-ordered, Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -141,8 +142,8 @@ class RichardsonPoint:
     stderr: float
 
 
-def _level_increments(fine: np.ndarray, n_steps: int, *, in_place: bool = False,
-                      negated: bool = False) -> np.ndarray:
+def _level_increments(fine: np.ndarray, n_steps: int, *,
+                      in_place: bool = False) -> np.ndarray:
     """The increments of the ``n_steps``-step level, summed from step-major ``fine``.
 
     With m = fine steps per coarse step, m = 1 returns ``fine`` itself.
@@ -156,9 +157,6 @@ def _level_increments(fine: np.ndarray, n_steps: int, *, in_place: bool = False,
     ``fine`` is then spent.  In place, each block is summed into a scratch
     and then copied: the first block overlaps its own source columns, and
     every later one reads only columns past those already written.
-    ``negated`` says that ``fine`` holds the negated draw: the sums are
-    copied out through ``np.negative``, which gives the level of the draw
-    itself, bit for bit, since round-to-nearest addition is sign-symmetric.
     """
     rows, n_fine = fine.shape
     m = n_fine // n_steps
@@ -174,12 +172,9 @@ def _level_increments(fine: np.ndarray, n_steps: int, *, in_place: bool = False,
         dst = out[:, lo:lo + width]
         sums = scratch[:, :dst.shape[1]] if in_place else dst
         _pairwise_sum(fine[:, lo * m:(lo + width) * m], m, 0, m, sums)
-        if negated:
-            np.negative(sums, out=dst)
-        elif in_place:
+        if in_place:
             np.copyto(dst, sums)
-    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0, and so is
-    # a negated zero sum
+    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
     out += 0.0
     return out
 
@@ -285,23 +280,15 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
         vals = [None] * len(configs)
         # Levels ascend and divide finest_n.  A level that is the fine draw
-        # itself is stepped before the largest coarse level, and its
-        # antithetic pass negates it in place; that coarse level goes last,
-        # summed into the draw's own leading columns.
-        fine_is_level = configs[-1].n_steps == finest_n
+        # itself is stepped before the largest coarse level, which goes last,
+        # summed into the draw's own leading columns, negated if the draw is:
+        # 0.5 * (v + v') does not depend on which sign runs first.
         order = list(range(len(configs)))
-        if fine_is_level and len(order) > 1:
+        if configs[-1].n_steps == finest_n and len(order) > 1:
             order[-2:] = order[-1], order[-2]
         for j in order:
             cfg = configs[j]
-            if cfg.n_steps == finest_n:
-                incs = fine
-            elif j == order[-1]:
-                # after the fine level's antithetic pass the draw is negated
-                incs = _level_increments(fine, cfg.n_steps, in_place=True,
-                                         negated=mc.antithetic and fine_is_level)
-            else:
-                incs = _level_increments(fine, cfg.n_steps)
+            incs = _level_increments(fine, cfg.n_steps, in_place=j == order[-1])
             try:
                 v = payoffs(cfg, incs)
                 if mc.antithetic:

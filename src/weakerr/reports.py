@@ -79,6 +79,18 @@ def _views(report):
     raise TypeError(f"cannot serialize report of type {type(report).__name__}")
 
 
+def _non_finite(value, path=""):
+    """(JSON path, value) of each NaN or infinite float in a json payload, in order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{i}]")
+
+
 def _render_svg(title, series, fit) -> str:
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -157,8 +169,9 @@ def render(report, format: str) -> str:
     """The text of ``report`` as json, csv or svg.
 
     Raises TypeError for an object that is not a report, ValueError for a
-    format its report type lacks, and FloatingPointError when any value of
-    the report is NaN or infinite: such a report is refused in every format.
+    format its report type lacks, and FloatingPointError naming the first
+    NaN or infinite field by its JSON path (``levels[0].estimate``): such a
+    report is refused in every format.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
@@ -166,8 +179,8 @@ def render(report, format: str) -> str:
     try:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise FloatingPointError(
-            f"{type(report).__name__} holds a non-finite value") from None
+        path, value = next(_non_finite(payload))
+        raise FloatingPointError(f"report field {path} is {value!r}") from None
     if format == "json":
         return text
     view = table if format == "csv" else plot

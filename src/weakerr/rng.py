@@ -19,10 +19,10 @@ the GIL between numpy calls; every draw depends on its own counter alone, so
 the stream does not depend on the chunk size.
 
 The output is step-major (Fortran order): each step's draws for all paths
-are one contiguous column, the layout the steppers read.  Chunks are written
-path by path into a C-ordered staging block of two chunks (about 1 MB),
-and each full block is copied into its rows of the output; ``tobytes()``
-reads the same path-major bytes as before.
+are one contiguous column, the layout the steppers read.  Each chunk is
+written path by path into one C-ordered buffer (about 512 KB, still in
+L2 cache) and copied into its rows of the output; ``tobytes()`` reads the
+same path-major bytes as before.
 """
 
 from __future__ import annotations
@@ -45,17 +45,14 @@ _S11 = np.uint64(11)
 # each, 1.5 MB in all) stay in the 2 MB L2 cache through the ten rounds.
 # Every numpy call releases and retakes the GIL, so a larger chunk means
 # fewer round-trips per normal for threads drawing side by side.  Swept on a
-# 2-vCPU Xeon (numpy 2.4.6), median of 9 mc-affine jobs at two threads, with
-# 2 chunks per staging block: 2.79 s at 2^14 (80k voluntary context switches
-# per job), 2.24 s at 2^15 (22k) and 2.35 s at 2^16 (9k), whose arrays spill
-# out of L2.  One 16384 x 512 call on one thread: 423, 404 and 484 ms.
+# 2-vCPU Xeon (numpy 2.4.6), median of 9 mc-affine jobs at two threads, the
+# output then copied in blocks of 2 chunks: 2.79 s at 2^14 (80k voluntary
+# context switches per job), 2.24 s at 2^15 (22k) and 2.35 s at 2^16 (9k),
+# whose arrays spill out of L2.  One 16384 x 512 call on one thread: 423,
+# 404 and 484 ms.  Each chunk is copied out on its own: against 2-chunk
+# blocks, 10 alternating processes read 446 vs 448 ms (16384 x 512), 54.2
+# vs 53.4 ms (16384 x 64) and 62.7 vs 73.2 ms (two threads, 16384 x 64 each).
 _CHUNK_BLOCKS = 2**15
-# Chunks per C-ordered staging block (2 x 512 KB of doubles, about 1 MB): the
-# block is still in L2 cache when it is copied into the step-major output.
-# At 2^15 blocks per chunk, mc-affine jobs took 2.29, 2.24 and 2.30 s with 1,
-# 2 and 4 chunks per block; two threads drawing 16384 x 64 each took 110, 95
-# and 115 ms, and one 16384 x 512 call 397, 404 and 443 ms.
-_STAGE_CHUNKS = 2
 
 
 def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):
@@ -110,8 +107,8 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     """Brownian increments N(0, dt), shape (n_paths, n_steps), step-major; dt = 1.0 gives N(0, 1).
 
     Each chunk of rows runs the whole chain -- counters, Philox rounds, 53-bit
-    uniforms, inverse CDF, times sqrt(dt) -- into its rows of the staging
-    block; each full block is then copied into its rows of the output.
+    uniforms, inverse CDF, times sqrt(dt) -- into a C-ordered chunk buffer,
+    which is then copied into its rows of the output.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -127,36 +124,33 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     n_blocks = (n_steps + 1) // 2
     blocks = np.arange(n_blocks, dtype=np.uint64)
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
-    stage_rows = rows * _STAGE_CHUNKS
     scale = np.sqrt(dt)
     out = np.empty((paths.size, n_steps), order="F")
-    stage = np.empty((min(stage_rows, paths.size), n_steps))
-    for top in range(0, paths.size, stage_rows):
-        block = stage[:min(stage_rows, paths.size - top)]
-        for lo in range(0, block.shape[0], rows):
-            chunk = paths[top + lo:top + lo + rows, None]
-            shape = (chunk.shape[0], n_blocks)
-            c0 = np.empty(shape, dtype=np.uint64)
-            c0[:] = blocks
-            c1 = np.empty(shape, dtype=np.uint64)
-            c1[:] = chunk & _MASK32
-            c2 = np.empty(shape, dtype=np.uint64)
-            c2[:] = chunk >> _S32
-            c3 = np.zeros(shape, dtype=np.uint64)
-            y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
-            # Pack pairs of 32-bit outputs into 64-bit words and keep their top
-            # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).
-            for upper, lower in ((y0, y1), (y2, y3)):
-                np.left_shift(upper, _S32, out=upper)
-                np.bitwise_or(upper, lower, out=upper)
-                np.right_shift(upper, _S11, out=upper)
-            z = block[lo:lo + rows]
-            z[:, 0::2] = y0
-            z[:, 1::2] = y2[:, :n_steps // 2]
-            # Offset by half an ulp: the uniforms lie strictly inside (0, 1).
-            z += 0.5
-            z *= 2.0**-53
-            ndtri(z, out=z)
-            z *= scale
-        out[top:top + block.shape[0]] = block
+    buf = np.empty((min(rows, paths.size), n_steps))
+    for lo in range(0, paths.size, rows):
+        chunk = paths[lo:lo + rows, None]
+        shape = (chunk.shape[0], n_blocks)
+        c0 = np.empty(shape, dtype=np.uint64)
+        c0[:] = blocks
+        c1 = np.empty(shape, dtype=np.uint64)
+        c1[:] = chunk & _MASK32
+        c2 = np.empty(shape, dtype=np.uint64)
+        c2[:] = chunk >> _S32
+        c3 = np.zeros(shape, dtype=np.uint64)
+        y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
+        # Pack pairs of 32-bit outputs into 64-bit words and keep their top
+        # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).
+        for upper, lower in ((y0, y1), (y2, y3)):
+            np.left_shift(upper, _S32, out=upper)
+            np.bitwise_or(upper, lower, out=upper)
+            np.right_shift(upper, _S11, out=upper)
+        z = buf[:chunk.shape[0]]
+        z[:, 0::2] = y0
+        z[:, 1::2] = y2[:, :n_steps // 2]
+        # Offset by half an ulp: the uniforms lie strictly inside (0, 1).
+        z += 0.5
+        z *= 2.0**-53
+        ndtri(z, out=z)
+        z *= scale
+        out[lo:lo + rows] = z
     return out

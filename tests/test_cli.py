@@ -431,6 +431,22 @@ class TestNumericalFailures:
         assert out == ""
         assert err.splitlines()[-1].startswith("weakerr: numerical failure:")
 
+    @pytest.mark.parametrize("argv,field", [
+        (("oracle", "--n-steps", "8"), "weak_error"),
+        (("c1",), "value"),
+        (("expand",), "c1.value"),
+        (("converge",), "slope"),
+        (("richardson",), "points[0].extrapolated_error"),
+    ], ids=["oracle", "c1", "expand", "converge", "richardson"])
+    def test_non_finite_report_names_its_field(self, capsys, tmp_path, argv, field):
+        # sigma^2 = 1.69e308 is finite, but sigma^2 * T overflows to inf
+        # without raising, and the report fields come out NaN
+        cfg = self.config(tmp_path, "theta = 0\nsigma = 1.3e154\nhorizon = 2\n")
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == (f"weakerr: numerical failure: {argv[0]} on problem 'custom': "
+                       f"report field {field} is nan\n")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("text,argv", [
         # 40000 paths make two batches, so two threads both run one

@@ -228,6 +228,16 @@ class TestMultiBatchPins:
         assert self._digest(rep) == (
             "f18419531e310d46a0f739b5b88b56913672dd5479edc3f676404169aba71b0d")
 
+    def test_ou_with_antithetic_below_the_finest_grid(self, problems):
+        # finest_n is above every level, so level 16 is summed into the draw's
+        # leading columns from the draw as it stands, then negated in place
+        mc = McConfig(levels=(8, 16), n_paths=2 * ((1 << 14) + 37), seed=316,
+                      finest_n=64)
+        rep = estimate_weak_error(problems["ou"], mc, "implicit")
+        assert rep.n_units == (1 << 14) + 37 and rep.reference_source == "exact"
+        assert self._digest(rep) == (
+            "dfa53f70f9662e2b9f9b1679600679c759a863d9baccbcd59fe64f556fadc2e4")
+
 
 def _level_inputs(n_fine):
     """Normal rows, then rows of +-0.0, +-inf, NaN and 5e-324 (the smallest
@@ -301,18 +311,18 @@ class TestLevelIncrements:
         # the negated draw, as the antithetic pass of the fine level leaves it.
         monkeypatch.setattr(montecarlo, "_SUM_BLOCK", block)
         fine = np.asfortranarray(_level_inputs(n_fine))
-        for m in range(2, 1025):
-            if n_fine % m:
-                continue
-            n = n_fine // m
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = montecarlo._level_increments(fine, n)
-                for negated in (False, True):
-                    draw = np.negative(fine) if negated else fine.copy(order="F")
-                    got = montecarlo._level_increments(draw, n, in_place=True,
-                                                       negated=negated)
-                    assert got.flags.f_contiguous and got.ctypes.data == draw.ctypes.data
-                    _assert_same_sums(got, want, f"m = {m}, negated = {negated}")
+        for negated in (False, True):
+            src = np.negative(fine) if negated else fine
+            for m in range(2, 1025):
+                if n_fine % m:
+                    continue
+                n = n_fine // m
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = montecarlo._level_increments(src, n)
+                    draw = src.copy(order="F")
+                    got = montecarlo._level_increments(draw, n, in_place=True)
+                assert got.flags.f_contiguous and got.ctypes.data == draw.ctypes.data
+                _assert_same_sums(got, want, f"m = {m}, negated = {negated}")
 
 
 class TestBatchLayout:

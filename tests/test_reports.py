@@ -123,9 +123,10 @@ class TestErrors:
     def test_non_finite_value_is_refused(self, sample_report, tmp_path, fmt, bad):
         level = dataclasses.replace(sample_report.levels[0], stderr=bad)
         rep = dataclasses.replace(sample_report, levels=(level,))
-        with pytest.raises(FloatingPointError):
+        message = f"^report field levels\\[0\\]\\.stderr is {bad!r}$"
+        with pytest.raises(FloatingPointError, match=message):
             render(rep, fmt)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match=message):
             emit_report(rep, fmt, tmp_path / f"x.{fmt}")
         assert not (tmp_path / f"x.{fmt}").exists()
 

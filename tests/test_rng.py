@@ -152,9 +152,9 @@ class TestGaussianIncrements:
 # dt = PIN_DT, for row counts of 1 and one below, at and above the rows of
 # one 2^14-block chunk, with path indices across 2^32 and a seed above 2^63.
 # (64, 2500), taken with 2^14-block chunks, spans three 2^15-block chunks of
-# 1024 rows and ends in a partial staging block at the shipped constants.
-# Chunk sizes of 1 and 3 blocks, and staging blocks of any number of chunks,
-# must give the same bytes; (1, 100) makes 34 chunks of up to three rows.
+# 1024 rows at the shipped constants and ends in a partial chunk of 452 rows.
+# Chunk sizes of 1 and 3 blocks must give the same bytes; (1, 100) makes 34
+# chunks of up to three rows.
 PIN_SEED = 2**63 + 2**32 + 7
 PIN_DT = 0.3
 STREAM_PINS = {
@@ -228,16 +228,6 @@ class TestStreamPins:
     @pytest.mark.parametrize("n_steps, rows", [(1, 100), (7, 1), (33, 964),
                                                (512, 65), (513, 62)])
     def test_stream_independent_of_chunk_size(self, monkeypatch, chunk, n_steps, rows):
-        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
-        assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
-
-    @pytest.mark.parametrize("stage", [1, 2, 5])
-    @pytest.mark.parametrize("chunk", [1, 3])
-    @pytest.mark.parametrize("n_steps, rows", [(1, 100), (33, 964), (513, 62)])
-    def test_stream_independent_of_staging_block(self, monkeypatch, stage, chunk,
-                                                 n_steps, rows):
-        # staging blocks of 1, 2 and 5 chunks, the last one cut short
-        monkeypatch.setattr(rng, "_STAGE_CHUNKS", stage)
         monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
         assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
 
