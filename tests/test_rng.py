@@ -231,6 +231,15 @@ class TestStreamPins:
         monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
         assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
 
+    @pytest.mark.parametrize("chunk_rows", [2, 5, 7, 13, 32, 61])
+    @pytest.mark.parametrize("n_steps, rows", [(1, 100), (33, 964), (513, 62)])
+    def test_stream_independent_of_where_the_last_chunk_ends(self, monkeypatch,
+                                                             chunk_rows, n_steps, rows):
+        # Chunks of several rows reuse one buffer, and the last one fills only
+        # its leading rows: 1 to 481 rows, or none left over at 2 rows a chunk.
+        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk_rows * ((n_steps + 1) // 2))
+        assert _stream_digests(n_steps, rows) == STREAM_PINS[n_steps, rows]
+
     @pytest.mark.parametrize("chunk", [1, 3, 2**20])
     @pytest.mark.parametrize("n_steps", [1, 33, 512])
     def test_zero_rows(self, monkeypatch, chunk, n_steps):
