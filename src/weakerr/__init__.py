@@ -11,7 +11,7 @@ remainder.
 
 __version__ = "0.1.0"
 
-from .jets import InsufficientJetOrder, Jet4, jet_add, jet_derive, jet_mul
+from .jets import InsufficientJetOrder, Jet4, jet_derive, jet_mul
 from .problems import (
     AffineModel,
     MarginalLaw,
@@ -97,7 +97,6 @@ __all__ = [
     "get_problem",
     "implicit_step",
     "iter_paths",
-    "jet_add",
     "jet_derive",
     "jet_mul",
     "kolmogorov_residual",

@@ -23,7 +23,8 @@ from .expansion import PSI_NAMES, PsiKind, leading_constant, psi_at
 from .jets import InsufficientJetOrder
 from .montecarlo import McConfig, estimate_weak_error, richardson
 from .moments_oracle import weak_error_exact
-from .problems import Problem, gbm_family_problem, get_problem, ou_family_problem
+from .problems import (Problem, builtin_problems, gbm_family_problem, get_problem,
+                       ou_family_problem)
 from .rates import TooFewPoints, expansion_check, fit_rate, oracle_report
 from .reports import FORMATS, render
 from .schemes import KINDS, NoConvergence, SchemeConfig
@@ -199,7 +200,8 @@ def _cmd_richardson(args, p: Problem) -> None:
 
 
 def _add_common(sub, scheme: bool = True) -> None:
-    sub.add_argument("--problem", default="ou", help="builtin problem name (bm, ou, gbm, tanh)")
+    names = ", ".join(p.name for p in builtin_problems())
+    sub.add_argument("--problem", default="ou", help=f"builtin problem name ({names})")
     sub.add_argument("--config", help="custom problem definition file (overrides --problem)")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--format", choices=FORMATS,

@@ -230,7 +230,7 @@ def psi_ih_gap(b: Jet4, sigma: Jet4, u: Jet4, h: float):
     gap = (eval_psi(PsiKind("psi_ih", h=float(h)), b, sigma, u)
            - eval_psi(PSI_I, b, sigma, u))
     sh = resolvent(b.deriv(1), h)
-    s2 = (sigma * sigma).value()
+    s2 = jet_mul(sigma, sigma).value()
     lap = jet_derive(jet_derive(u)).value()
     closed = (0.25 * s2 * (np.float_power(sh, 2) - 1.0) * b.deriv(2) * u.deriv(1)
               + 0.5 * b.deriv(1) * (sh - 1.0) * s2 * lap)

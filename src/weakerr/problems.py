@@ -90,15 +90,15 @@ class Problem:
 
     ``b_jet(x, order=4)`` and ``sigma_jet(x, order=4)`` are the only
     description of the coefficients.  A caller names the highest derivative
-    it will read, and the jet is trustworthy through at least
-    ``min(order, 2)``: the steppers ask for order 0 (values) or 1 (b' for
-    Newton and S_h), so the tanh jets skip the derivatives that only the
-    densities read; the affine jets ignore ``order``.  ``u_jet``, when
-    present, provides four derivatives and satisfies the backward PDE.
-    ``x`` may be a float or a numpy array of points, which gives a batch of
-    jets (see :mod:`weakerr.jets`); ``f`` accepts either too.  ``u_jet(t, x)``
-    also takes an array of times that broadcasts against ``x``, with the
-    bits of one scalar call per (t, x) pair.
+    it will read, and the jet holds at least ``min(order, 2) + 1`` slots:
+    the steppers ask for order 0 (values) or 1 (b' for Newton and S_h), so
+    the tanh jets skip the derivatives that only the densities read; the
+    affine jets ignore ``order``.  ``u_jet``, when present, provides four
+    derivatives and satisfies the backward PDE.  ``x`` may be a float or a
+    numpy array of points, which gives a batch of jets (see
+    :mod:`weakerr.jets`); ``f`` accepts either too.  ``u_jet(t, x)`` also
+    takes an array of times that broadcasts against ``x``, with the bits of
+    one scalar call per (t, x) pair.
     """
 
     name: str
@@ -115,6 +115,8 @@ class Problem:
 
     def __post_init__(self):
         _require_finite(x0=self.x0, horizon=self.horizon)
+        if not self.lip_b >= 0:  # NaN too; inf stays allowed
+            raise ValueError(f"'lip_b' must be nonnegative, got {self.lip_b!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.affine is not None and self.affine.s1 != 0.0 and self.x0 <= 0:
@@ -293,15 +295,20 @@ def tanh_problem(name: str = "tanh", c: float = 0.25, x0: float = 0.4,
 
     def b_jet(x, order: int = 4) -> Jet4:
         t = np.tanh(x)
-        sech2 = 1.0 - t * t if order >= 1 else 0.0
-        b2 = -2.0 * t * sech2 if order >= 2 else 0.0
-        return Jet4((t, sech2, b2, 0.0, 0.0), valid_order=min(order, 2))
+        if order < 1:
+            return Jet4((t,))
+        sech2 = 1.0 - t * t
+        if order < 2:
+            return Jet4((t, sech2))
+        return Jet4((t, sech2, -2.0 * t * sech2))
 
     def sigma_jet(x, order: int = 4) -> Jet4:
         r = np.sqrt(1.0 + x * x)
-        s1 = c * x / r if order >= 1 else 0.0
-        s2 = c / r**3 if order >= 2 else 0.0
-        return Jet4((c * r, s1, s2, 0.0, 0.0), valid_order=min(order, 2))
+        if order < 1:
+            return Jet4((c * r,))
+        if order < 2:
+            return Jet4((c * r, c * x / r))
+        return Jet4((c * r, c * x / r, c / r**3))
 
     return Problem(
         name=name,
@@ -328,10 +335,10 @@ def builtin_problems() -> list:
 
 
 def get_problem(name: str) -> Problem:
-    for p in builtin_problems():
-        if p.name == name:
-            return p
-    raise ValueError(f"unknown problem {name!r}; try one of bm, ou, gbm, tanh")
+    problems = {p.name: p for p in builtin_problems()}
+    if name not in problems:
+        raise ValueError(f"unknown problem {name!r}; try one of {', '.join(problems)}")
+    return problems[name]
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ class ExpansionRow:
 class ExpansionTable:
     """Oracle weak errors against the h * C1 prediction, level by level.
 
-    ``residual_fit`` is None when every residual sits below the noise floor
-    (the driftless benchmark, where both sides vanish identically).
+    ``residual_fit`` is None only when every residual sits below the noise
+    floor (the driftless benchmark, where both sides vanish identically).
     """
 
     problem: str
@@ -119,16 +119,17 @@ def expansion_check(p: Problem, levels, kind: PsiKind = PSI_I,
 
     Reads the implicit scheme's :func:`oracle_report`; the density defaults to the
     implicit one (substituting the explicit density is the negative control:
-    it fails to cancel the first-order term when b != 0).
+    it fails to cancel the first-order term when b != 0).  Residuals that
+    are not all below the noise floor but leave fewer than three usable
+    points raise :class:`TooFewPoints`.
     """
     c1 = leading_constant(p, kind, quad_nodes=quad_nodes)
     rows = [ExpansionRow(n_steps=lv.n_steps, h=lv.h, weak_err=lv.estimate,
                          h_times_c1=lv.h * c1.value,
                          second_order_residual=lv.estimate - lv.h * c1.value)
             for lv in oracle_report(p, "implicit", levels).levels]
-    try:
-        fit = fit_rate([(r.h, r.second_order_residual) for r in rows])
-    except TooFewPoints:
-        fit = None
+    residuals = [(r.h, r.second_order_residual) for r in rows]
+    fit = (None if all(abs(e) < NOISE_FLOOR for _, e in residuals)
+           else fit_rate(residuals))
     return ExpansionTable(problem=p.name, psi_name=kind.name, c1=c1,
                           rows=tuple(rows), residual_fit=fit)

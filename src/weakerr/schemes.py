@@ -105,13 +105,27 @@ def _worst_index(residual):
     return int(np.argmax(residual)) if np.ndim(residual) else None
 
 
+def _least_passing_steps(p: Problem):
+    """The least n_steps with (T / n_steps) * lip_b <= 0.5, or None if none passes."""
+    n = p.horizon * p.lip_b / MAX_H_LIP
+    if math.isinf(n):
+        return None
+    # The ceiling of the rounded quotient can be one above or one below the
+    # least n that passes the rounded test (h = T / n, then h * lip_b).
+    n = max(1, math.ceil(n))
+    while n > 1 and p.horizon / (n - 1) * p.lip_b <= MAX_H_LIP:
+        n -= 1
+    while p.horizon / n * p.lip_b > MAX_H_LIP:
+        n += 1
+    return n
+
+
 def _guard_step(p: Problem, h: float) -> float:
     """Validate h * lip_b <= 0.5 and return h."""
     if h * p.lip_b > MAX_H_LIP:
-        raise StepSizeError(
-            f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}; "
-            f"raise n_steps above {p.horizon * p.lip_b / MAX_H_LIP:.3g}"
-        )
+        n = _least_passing_steps(p)
+        fix = "no grid passes" if n is None else f"raise n_steps to at least {n}"
+        raise StepSizeError(f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}; {fix}")
     return h
 
 

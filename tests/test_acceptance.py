@@ -33,8 +33,8 @@ def _report(num, ok, description, detail=""):
 def _random_jets(count, seed):
     gen = np.random.default_rng(seed)
     for _ in range(count):
-        b = Jet4(tuple(gen.uniform(-2, 2, 3)) + (0.0, 0.0), valid_order=2)
-        s = Jet4(tuple(gen.uniform(-2, 2, 3)) + (0.0, 0.0), valid_order=2)
+        b = Jet4(tuple(gen.uniform(-2, 2, 3)))
+        s = Jet4(tuple(gen.uniform(-2, 2, 3)))
         u = Jet4(tuple(gen.uniform(-2, 2, 5)))
         yield b, s, u
 

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import weakerr as we
-from weakerr.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main, \
-    parse_problem_config
+from weakerr.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, \
+    main, parse_problem_config
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +32,12 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--problem", "nope", "--n-steps", "8")
         assert code == EXIT_CONFIG
         assert "unknown problem" in err
+
+    def test_step_size_refusal_names_a_passing_grid(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--problem", "ou", "--n-steps", "1")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.endswith("raise n_steps to at least 2\n")
+        assert run_cli(capsys, "oracle", "--problem", "ou", "--n-steps", "2")[0] == EXIT_OK
 
     def test_tanh_has_no_oracle(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--problem", "tanh", "--n-steps", "64")
@@ -153,6 +159,14 @@ class TestConvergeExpandRichardson:
         payload = json.loads(out)
         assert payload["residual_fit"]["slope"] >= 1.9
         assert len(payload["levels"]) == 4
+
+    @pytest.mark.parametrize("command", ["expand", "converge"])
+    def test_too_few_levels_are_refused(self, capsys, command):
+        # two levels cannot fit a rate: expand refuses them as converge does,
+        # rather than printing "residual_fit": null
+        code, out, err = run_cli(capsys, command, "--problem", "ou", "--levels", "16,32")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "need at least 3 usable points, got 2" in err
 
     def test_richardson_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "richardson", "--problem", "ou",
@@ -657,6 +671,17 @@ f_poly = 0, 0, 1
 
 
 class TestParser:
+    def test_problem_help_lists_every_builtin(self, monkeypatch):
+        def problem_helps():
+            subs = next(a for a in build_parser()._actions if a.dest == "command")
+            return {action.help for sub in subs.choices.values()
+                    for action in sub._actions if action.dest == "problem"}
+
+        assert problem_helps() == {"builtin problem name (bm, ou, gbm, tanh)"}
+        extra = we.builtin_problems() + [we.tanh_problem("wide", c=0.5)]
+        monkeypatch.setattr("weakerr.cli.builtin_problems", lambda: extra)
+        assert problem_helps() == {"builtin problem name (bm, ou, gbm, tanh, wide)"}
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

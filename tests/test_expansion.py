@@ -18,8 +18,7 @@ from weakerr.jets import InsufficientJetOrder, Jet4
 
 entries = st.floats(min_value=-2.0, max_value=2.0)
 jets4 = st.builds(lambda v: Jet4(tuple(v)), st.lists(entries, min_size=5, max_size=5))
-jets2 = st.builds(lambda v: Jet4(tuple(v) + (0.0, 0.0), valid_order=2),
-                  st.lists(entries, min_size=3, max_size=3))
+jets2 = st.builds(lambda v: Jet4(tuple(v)), st.lists(entries, min_size=3, max_size=3))
 
 
 def psi_i_ou_hand(theta, sigma, horizon, t, x):
@@ -125,20 +124,20 @@ class TestIdentityResidual:
 
     def test_zero_drift_is_exact(self):
         b = Jet4((0.0,) * 5)
-        sigma = Jet4((1.3, -0.2, 0.4, 0.0, 0.0), valid_order=2)
+        sigma = Jet4((1.3, -0.2, 0.4))
         u = Jet4((0.5, 1.0, -2.0, 0.7, 1.1))
         assert psi_identity_residual(b, sigma, u) == 0.0
 
     def test_zero_u_is_exact(self):
-        b = Jet4((0.7, -0.3, 0.2, 0.0, 0.0), valid_order=2)
-        sigma = Jet4((1.3, -0.2, 0.4, 0.0, 0.0), valid_order=2)
+        b = Jet4((0.7, -0.3, 0.2))
+        sigma = Jet4((1.3, -0.2, 0.4))
         assert psi_identity_residual(b, sigma, Jet4((0.0,) * 5)) == 0.0
 
 
 class TestPsiIhGap:
     def test_affine_flat_drift_has_no_gap(self):
         b = Jet4((0.9, 0.0, 0.0, 0.0, 0.0))  # b' = b'' = 0 so S_h = 1
-        sigma = Jet4((1.1, 0.3, -0.2, 0.0, 0.0), valid_order=2)
+        sigma = Jet4((1.1, 0.3, -0.2))
         u = Jet4((0.2, -0.7, 1.4, 0.8, -1.9))
         gap, closed = psi_ih_gap(b, sigma, u, h=0.1)
         assert gap == pytest.approx(0.0, abs=1e-14)
@@ -188,10 +187,10 @@ class TestPsiKindValidation:
     def test_insufficient_jet_order(self):
         b = Jet4((0.5, -1.0, 0.0, 0.0, 0.0))
         sigma = Jet4.constant(1.0)
-        u3 = Jet4((1.0, 1.0, 1.0, 1.0, 0.0), valid_order=3)
+        u3 = Jet4((1.0, 1.0, 1.0, 1.0))
         with pytest.raises(InsufficientJetOrder):
             eval_psi(PSI_I, b, sigma, u3)
-        b1 = Jet4((0.5, -1.0, 0.0, 0.0, 0.0), valid_order=1)
+        b1 = Jet4((0.5, -1.0))
         with pytest.raises(InsufficientJetOrder):
             eval_psi(PSI_I, b1, sigma, Jet4((1.0,) * 5))
 

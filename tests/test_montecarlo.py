@@ -177,8 +177,7 @@ class TestEstimateWeakError:
         # exact, so a path fails at the first step that leaves the band.  The
         # states until then are the Brownian sums, which locate the failure.
         def b_jet(x, order=4):
-            return we.Jet4((np.tanh(x - np.clip(x, -3.0, 3.0)), 0.0, 0.0, 0.0, 0.0),
-                           valid_order=0)
+            return we.Jet4((np.tanh(x - np.clip(x, -3.0, 3.0)),))
 
         p = we.Problem(name="banded", x0=0.0, horizon=1.0, lip_b=1.0, b_jet=b_jet,
                        sigma_jet=lambda x, order=4: we.Jet4.constant(1.0), f=np.cos,

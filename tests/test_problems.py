@@ -18,6 +18,18 @@ def test_builtin_names(problems):
         we.get_problem("nope")
 
 
+def test_unknown_problem_lists_every_builtin(monkeypatch):
+    with pytest.raises(ValueError) as err:
+        we.get_problem("nope")
+    assert str(err.value) == "unknown problem 'nope'; try one of bm, ou, gbm, tanh"
+    # a new builtin is listed without an edit to the message
+    extra = we.builtin_problems() + [we.tanh_problem("wide", c=0.5)]
+    monkeypatch.setattr("weakerr.problems.builtin_problems", lambda: extra)
+    with pytest.raises(ValueError, match="try one of bm, ou, gbm, tanh, wide$"):
+        we.get_problem("nope")
+    assert we.get_problem("wide") is extra[-1]
+
+
 class TestExactTerminal:
     def test_bm_fourth_moment(self, problems):
         # E W_1^4 = 3, standard Gaussian fourth moment
@@ -175,7 +187,8 @@ class TestCoefficientJets:
     @pytest.mark.parametrize("name", ["bm", "ou", "gbm", "tanh"])
     def test_low_order_jets_match_full_jet_bitwise(self, problems, name):
         # The steppers read order-0 and order-1 jets, the densities full
-        # ones: both must see the same coefficients, bit for bit.
+        # ones: both must see the same coefficients, bit for bit.  The tanh
+        # jets hold exactly the slots asked for, up to b'' and sigma''.
         p = problems[name]
         xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, 101)
 
@@ -184,11 +197,15 @@ class TestCoefficientJets:
 
         for jet in (p.b_jet, p.sigma_jet):
             full = jet(xs)
-            for order in (0, 1):
+            for order in range(5):
                 low = jet(xs, order=order)
-                assert low.valid_order >= order
-                for k in range(order + 1):
+                held = min(order, 2) + 1
+                assert len(low.d) == held if name == "tanh" else len(low.d) >= held
+                for k in range(len(low.d)):
                     assert bits(low.deriv(k)) == bits(full.deriv(k))
+                if len(low.d) < 5:
+                    with pytest.raises(we.InsufficientJetOrder):
+                        low.deriv(len(low.d))
 
     def test_affine_jets_valid_order(self, problems):
         assert problems["ou"].b_jet(0.5).valid_order == 4
@@ -271,6 +288,15 @@ class TestBuilderValidation:
         p = we.gbm_family_problem("x", mu=0.05, s=1e154, f_poly=(0.0, 1.0), x0=1.0,
                                   horizon=1.0)
         assert p.exact_terminal() == pytest.approx(math.exp(0.05))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_lip_b_must_be_nonnegative(self, problems, bad):
+        # either one would switch the step-size guard h * lip_b > 0.5 off
+        with pytest.raises(ValueError, match="'lip_b' must be nonnegative"):
+            dataclasses.replace(problems["tanh"], lip_b=bad)
+
+    def test_infinite_lip_b_allowed(self, problems):
+        assert dataclasses.replace(problems["tanh"], lip_b=math.inf).lip_b == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["b1", "s0", "s1"])

@@ -82,8 +82,18 @@ class TestExpansionCheck:
             assert row.h_times_c1 == pytest.approx(0.0, abs=1e-13)
 
     def test_rows_use_requested_levels(self, problems):
-        table = expansion_check(problems["gbm"], (64, 16), kind=PSI_I)
-        assert [r.n_steps for r in table.rows] == [16, 64]
+        table = expansion_check(problems["gbm"], (64, 16, 32), kind=PSI_I)
+        assert [r.n_steps for r in table.rows] == [16, 32, 64]
         assert table.rows[0].h == 1.0 / 16
         for row in table.rows:
             assert row.second_order_residual == row.weak_err - row.h_times_c1
+
+    @pytest.mark.parametrize("name", ["ou", "gbm"])
+    def test_too_few_levels_are_refused(self, problems, name):
+        # residual_fit = None means every residual is below the noise floor;
+        # two residuals above it are too few to fit, not a vanishing residual
+        with pytest.raises(TooFewPoints):
+            expansion_check(problems[name], (16, 32))
+
+    def test_bm_with_two_levels_has_no_fit(self, problems):
+        assert expansion_check(problems["bm"], (16, 32)).residual_fit is None

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +134,31 @@ class TestImplicitStep:
         with pytest.raises(we.StepSizeError) as grid:
             check_step_size(problems["ou"], cfg)
         assert str(step.value) == str(grid.value)
+
+    @pytest.mark.parametrize("p", [
+        we.get_problem("ou"),
+        we.get_problem("tanh"),
+        we.ou_family_problem("stiff", theta=12345.6, sigma=1.0, f_poly=(0.0, 0.0, 1.0),
+                             x0=1.0, horizon=1.0),
+        # the ceiling of T * lip_b / 0.5 is 955007 here, but 955006 passes
+        we.ou_family_problem("ceiling-above", theta=43409.36363636364, sigma=1.0,
+                             f_poly=(0.0, 0.0, 1.0), x0=1.0, horizon=11.0),
+        # and 768775 here, which fails
+        we.ou_family_problem("ceiling-below", theta=63492.32763791287, sigma=1.0,
+                             f_poly=(0.0, 0.0, 1.0), x0=1.0, horizon=6.054077938236943),
+    ], ids=lambda p: p.name)
+    def test_guard_names_the_least_passing_grid(self, p):
+        with pytest.raises(we.StepSizeError) as err:
+            check_step_size(p, SchemeConfig(n_steps=1))
+        n = int(re.search(r"raise n_steps to at least (\d+)$", str(err.value)).group(1))
+        assert check_step_size(p, SchemeConfig(n_steps=n)) == p.horizon / n
+        with pytest.raises(we.StepSizeError):
+            check_step_size(p, SchemeConfig(n_steps=n - 1))
+
+    def test_guard_with_infinite_lip_b_names_no_grid(self, problems):
+        p = dataclasses.replace(problems["tanh"], lip_b=math.inf)
+        with pytest.raises(we.StepSizeError, match="no grid passes$"):
+            check_step_size(p, SchemeConfig(n_steps=10**6))
 
 
 class TestContraction:
