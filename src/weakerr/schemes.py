@@ -105,26 +105,34 @@ def _worst_index(residual):
     return int(np.argmax(residual)) if np.ndim(residual) else None
 
 
-def _least_passing_steps(p: Problem):
-    """The least n_steps with (T / n_steps) * lip_b <= 0.5, or None if none passes."""
-    n = p.horizon * p.lip_b / MAX_H_LIP
-    if math.isinf(n):
-        return None
-    # The ceiling of the rounded quotient can be one above or one below the
-    # least n that passes the rounded test (h = T / n, then h * lip_b).
-    n = max(1, math.ceil(n))
-    while n > 1 and p.horizon / (n - 1) * p.lip_b <= MAX_H_LIP:
-        n -= 1
-    while p.horizon / n * p.lip_b > MAX_H_LIP:
-        n += 1
-    return n
+def _least_passing_steps(p: Problem, bound: float):
+    """The least n_steps with (T / n_steps) * lip_b <= 0.5, or None if T / n cannot tell it.
+
+    ``bound`` is T * lip_b / 0.5, finite.
+    """
+    def passes(n):
+        return p.horizon / n * p.lip_b <= MAX_H_LIP
+
+    # The ceiling of the rounded bound is within one of the least n that passes
+    # the rounded test (h = T / n, then h * lip_b) while T / n tells n from
+    # n +- 1; past 2**53 it cannot, so no candidate is confirmed.
+    n = max(1, math.ceil(bound))
+    for m in (n - 1, n, n + 1):
+        if m >= 1 and passes(m) and (m == 1 or not passes(m - 1)):
+            return m
+    return None
 
 
 def _guard_step(p: Problem, h: float) -> float:
     """Validate h * lip_b <= 0.5 and return h."""
     if h * p.lip_b > MAX_H_LIP:
-        n = _least_passing_steps(p)
-        fix = "no grid passes" if n is None else f"raise n_steps to at least {n}"
+        bound = p.horizon * p.lip_b / MAX_H_LIP
+        if math.isinf(bound):
+            fix = "no grid passes"
+        elif (n := _least_passing_steps(p, bound)) is not None:
+            fix = f"raise n_steps to at least {n}"
+        else:
+            fix = f"raise n_steps above {bound:.3g}"
         raise StepSizeError(f"h * lip_b = {h * p.lip_b:.3g} exceeds {MAX_H_LIP}; {fix}")
     return h
 

@@ -39,6 +39,13 @@ class TestOracle:
         assert err.endswith("raise n_steps to at least 2\n")
         assert run_cli(capsys, "oracle", "--problem", "ou", "--n-steps", "2")[0] == EXIT_OK
 
+    def test_step_size_refusal_past_float_resolution(self, capsys, tmp_path):
+        path = tmp_path / "prob.cfg"
+        path.write_text("theta = 1e30\nsigma = 1\nhorizon = 1\n")
+        code, out, err = run_cli(capsys, "oracle", "--config", str(path), "--n-steps", "64")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.endswith("raise n_steps above 2e+30\n")
+
     def test_tanh_has_no_oracle(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--problem", "tanh", "--n-steps", "64")
         assert code == EXIT_CONFIG

@@ -146,6 +146,8 @@ class TestImplicitStep:
         # and 768775 here, which fails
         we.ou_family_problem("ceiling-below", theta=63492.32763791287, sigma=1.0,
                              f_poly=(0.0, 0.0, 1.0), x0=1.0, horizon=6.054077938236943),
+        # 2**53 is the largest grid whose T / n still tells it from n - 1
+        dataclasses.replace(we.get_problem("tanh"), name="at-2**53", lip_b=2.0**52),
     ], ids=lambda p: p.name)
     def test_guard_names_the_least_passing_grid(self, p):
         with pytest.raises(we.StepSizeError) as err:
@@ -154,6 +156,20 @@ class TestImplicitStep:
         assert check_step_size(p, SchemeConfig(n_steps=n)) == p.horizon / n
         with pytest.raises(we.StepSizeError):
             check_step_size(p, SchemeConfig(n_steps=n - 1))
+
+    @pytest.mark.parametrize("p", [
+        we.ou_family_problem("ou", theta=1e30, sigma=1.0, f_poly=(0.0, 0.0, 1.0),
+                             x0=1.0, horizon=1.0),
+        we.gbm_family_problem("gbm", mu=1e30, s=0.2, f_poly=(0.0, 0.0, 1.0),
+                              x0=1.0, horizon=1.0),
+    ], ids=lambda p: p.name)
+    def test_guard_past_float_resolution_names_the_bound(self, p):
+        # T / n cannot tell n from n +- 1 near 2e30, so no integer is named
+        fix = re.escape("raise n_steps above 2e+30") + "$"
+        with pytest.raises(we.StepSizeError, match=fix):
+            check_step_size(p, SchemeConfig(n_steps=64))
+        with pytest.raises(we.StepSizeError, match=fix):
+            we.implicit_step(p, SchemeConfig(n_steps=64), 1 / 64, 1.0, 0.0)
 
     def test_guard_with_infinite_lip_b_names_no_grid(self, problems):
         p = dataclasses.replace(problems["tanh"], lip_b=math.inf)
