@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .jets import InsufficientJetOrder, Jet4, jet_derive, jet_mul
 from .problems import (
     AffineModel,
-    MarginalLaw,
     Problem,
     affine_problem,
     builtin_problems,
@@ -36,7 +35,6 @@ from .schemes import (
     iter_paths,
     pathwise_derivative_check,
     run_paths,
-    s_h,
 )
 from .moments_oracle import propagate_moments, weak_error_exact
 from .expansion import (
@@ -70,7 +68,6 @@ __all__ = [
     "Jet4",
     "LeadingConstant",
     "LevelEstimate",
-    "MarginalLaw",
     "McConfig",
     "NoConvergence",
     "PSI_E",
@@ -110,7 +107,6 @@ __all__ = [
     "psi_ih_gap",
     "richardson",
     "run_paths",
-    "s_h",
     "tanh_problem",
     "weak_error_exact",
 ]

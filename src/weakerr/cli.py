@@ -165,8 +165,10 @@ def _cmd_psi(args, p: Problem) -> None:
     xs = np.linspace(p.x0 - 3.0, p.x0 + 3.0, nx)
     grid = psi_at(p, kind, ts[:, None], xs)
     rows = [(t, x, v) for t, row in zip(ts, grid) for x, v in zip(xs, row)]
-    if not all(math.isfinite(v) for _, _, v in rows):
-        raise FloatingPointError("the psi table holds a non-finite value")
+    for t, x, v in rows:
+        if not math.isfinite(v):
+            raise FloatingPointError(f"psi at (t, x) = ({float(t)!r}, {float(x)!r}) "
+                                     f"is {float(v)!r}")
     text_rows = [",".join(repr(float(v)) for v in row) for row in rows]
     _write("t,x,psi\n" + "\n".join(text_rows) + "\n", args.out)
 
@@ -236,7 +238,8 @@ def _add_density(sub, quad_nodes: bool = True) -> None:
     sub.add_argument("--kind", choices=PSI_NAMES, default="psi_i")
     sub.add_argument("--h", type=float, default=None, help="step size for psi_ih")
     if quad_nodes:
-        sub.add_argument("--quad-nodes", type=int, default=64)
+        sub.add_argument("--quad-nodes", type=int, default=64,
+                         help="Gauss-Legendre panels in time, of 8 nodes each")
 
 
 def build_parser() -> argparse.ArgumentParser:

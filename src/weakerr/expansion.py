@@ -27,16 +27,18 @@ Everything is evaluated as jet algebra on (b, sigma, u) jets.  The exact
 algebraic relations between the three densities ship alongside as residual
 checks, and the leading constant C1 = E int_0^T psi(t, X_t) dt is computed by
 Gauss-Legendre panels in time crossed with Gauss-Hermite in space under the
-exact marginal law.
+exact marginal law, which :func:`weakerr.problems.marginal_law` gives as a
+map of a standard normal: it takes the Gauss-Hermite points to the nodes,
+so this module does not know the problem's family.
 
 The densities accept jets whose slots are arrays (a batch of points, see
 :mod:`weakerr.jets`) and then return an array, so one call covers the
 Gauss-Hermite nodes of 64 time nodes, as a (time, space) grid.  Each time
-node's law and u coefficients come from scalar code, since an array ``exp``
-over the times rounds differently; the u jet computes each power of x once
-for the whole grid.  The grid's nodes, weighted terms and row sums, and the
-three Leibniz products of the densities, go into arrays that each thread
-keeps from grid to grid (``_Scratch``).  The sums run in the order of a
+node's law moments and u coefficients come from scalar code, since an
+array ``exp`` over the times rounds differently; the u jet computes each
+power of x once for the whole grid.  The grid's nodes, weighted terms and
+row sums, and the three Leibniz products of the densities, go into arrays
+that each thread keeps from grid to grid (``_Scratch``).  The sums run in the order of a
 loop over scalar nodes: one ``np.add.accumulate`` from a zero column adds
 each grid row left to right, and one more adds the weighted time nodes in
 node order.  Squares go through ``np.float_power`` rather than ``**``:
@@ -300,20 +302,16 @@ def expect_psi(p: Problem, kind: PsiKind, t):
     ``t`` is a float, giving a float, or a 1-D array of times, giving the
     array of expectations from one :func:`psi_at` call on a (times, nodes)
     grid; an empty array gives an empty array.  Any other shape is refused.
+    One :func:`marginal_law` call maps the Gauss-Hermite points to the
+    grid's nodes, written into this thread's scratch.
     """
     ts = np.atleast_1d(t)
     if ts.ndim != 1:
         raise ValueError(f"t must be a float or a 1-D array of times, got shape {ts.shape}")
     if ts.size == 0:
         return np.zeros(0)
-    laws = [marginal_law(p, s) for s in ts]
-    mean = np.array([law.mean for law in laws])[:, None]
-    sd = np.sqrt(np.array([law.variance for law in laws]))[:, None]
     scratch = _scratch(len(ts))
-    xs, = scratch.arrays("nodes", 1)
-    np.add(mean, np.multiply(sd, _GH_Z, out=xs), out=xs)
-    if laws[0].family == "lognormal":
-        np.exp(xs, out=xs)
+    xs = marginal_law(p, ts, _GH_Z, out=scratch.arrays("nodes", 1)[0])
     terms, sums = scratch.arrays("terms", 2, cols=1 + _GH_POINTS)
     terms[:, 0] = 0.0
     np.multiply(_GH_W, psi_at(p, kind, ts[:, None], xs, scratch=scratch),
@@ -345,7 +343,7 @@ def leading_constant(p: Problem, kind: PsiKind, quad_nodes: int = 64) -> Leading
     ``quad_nodes`` counts Gauss-Legendre panels in time (8 points each); the
     inner spatial expectation uses 64 Gauss-Hermite nodes.  The error estimate
     is the change under panel doubling.  A problem without a closed-form law
-    or u fails at the first node, with :func:`marginal_law`'s ``ValueError``.
+    or u fails at the first grid, with :func:`marginal_law`'s ``ValueError``.
     """
     if not is_count(quad_nodes):
         raise ValueError("quad_nodes must be a positive integer")

@@ -45,6 +45,27 @@ def _dw_moments(h: float, kmax: int) -> list:
     return out[: kmax + 1]
 
 
+def _powers(value: float, order: int, overflow: str, **fields) -> list:
+    """value**k for k = 0..order, by float ``**``.
+
+    ``**`` raises OverflowError with only the C library's errno text; the
+    error raised instead reads ``overflow.format(k=k, value=value, **fields)``.
+    """
+    out = []
+    for k in range(order + 1):
+        try:
+            out.append(value**k)
+        except OverflowError:
+            raise OverflowError(overflow.format(k=k, value=value, **fields)) from None
+    return out
+
+
+_STEP_OVERFLOW = ("the moment recursion's {name}**{k} overflows at {name} = {value!r}, "
+                  "the step's {term} coefficient (from {source})")
+# (name, what it multiplies, the parameter behind it) of alpha, beta, gamma
+_STEP_TERMS = (("alpha", "X", "b1 and h"), ("beta", "X dW", "s1"), ("gamma", "dW", "s0"))
+
+
 def _transfer_matrix(alpha, beta, gamma, h, order):
     """T[j][m] so that E X_{k+1}^j = sum_m T[j][m] E X_k^m.
 
@@ -52,13 +73,15 @@ def _transfer_matrix(alpha, beta, gamma, h, order):
     binomials, the dW powers integrate via the Gaussian moment table.
     """
     ew = _dw_moments(h, order)
+    pa, pb, pg = (_powers(c, order, _STEP_OVERFLOW, name=name, term=term, source=source)
+                  for c, (name, term, source) in zip((alpha, beta, gamma), _STEP_TERMS))
     T = [[0.0] * (order + 1) for _ in range(order + 1)]
     for j in range(order + 1):
         for m in range(j + 1):
             n = j - m
             acc = 0.0
             for pw in range(m + 1):
-                coef = math.comb(m, pw) * alpha ** (m - pw) * beta**pw * gamma**n
+                coef = math.comb(m, pw) * pa[m - pw] * pb[pw] * pg[n]
                 if coef != 0.0:
                     acc += coef * ew[pw + n]
             T[j][m] = math.comb(j, m) * acc
@@ -75,7 +98,7 @@ def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> tuple:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     h = check_step_size(p, cfg)
     T = _transfer_matrix(*step_coefficients(p, cfg, h), h, order)
-    m = [p.x0**j for j in range(order + 1)]
+    m = _powers(p.x0, order, "the moment E X_0^{k} = x0**{k} overflows at x0 = {value!r}")
     for _ in range(cfg.n_steps):
         m = [sum(T[j][i] * m[i] for i in range(j + 1)) for j in range(order + 1)]
     return tuple(m)

@@ -34,34 +34,12 @@ import numpy as np
 
 from .jets import Jet4
 
-MARGINAL_FAMILIES = ("gaussian", "lognormal")
-
 
 def _require_finite(**params) -> None:
     """Refuse a NaN or infinite parameter (or payoff coefficient), naming it."""
     for key, value in params.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{key!r} must be finite")
-
-
-@dataclass(frozen=True)
-class MarginalLaw:
-    """Exact law of X_t for an affine benchmark.
-
-    For the gaussian family ``mean``/``variance`` are the moments of X_t
-    itself; for the lognormal family they are the mean and variance of
-    log X_t.  At t = 0 the variance is 0: all mass sits at x0.
-    """
-
-    mean: float
-    variance: float
-    family: str
-
-    def __post_init__(self):
-        if self.family not in MARGINAL_FAMILIES:
-            raise ValueError(f"unknown marginal family {self.family!r}")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -375,18 +353,36 @@ def kolmogorov_residual(p: Problem, t: float, x: float, dt_step: float) -> float
     return abs(du_dt + bval * uj.deriv(1) + 0.5 * sval**2 * uj.deriv(2))
 
 
-def marginal_law(p: Problem, t: float) -> MarginalLaw:
-    """Exact law of X_t for the affine benchmarks."""
+def marginal_law(p: Problem, t, z, out=None) -> np.ndarray:
+    """Exact law of X_t for the affine benchmarks, as a map of a standard normal.
+
+    ``t`` is a 1-D array of times in [0, T] and ``z`` a 1-D array of
+    standard-normal points; the result, written into ``out`` when given, is
+    the (len(t), len(z)) grid g(t_i, z_j), where g(t, Z) has the law of X_t.
+    With constant diffusion g = m + s*z, m and s the mean and standard
+    deviation of X_t; with proportional diffusion g = exp(m + s*z), m and s
+    those of log X_t.  At t = 0, s = 0: every point maps to x0.  Each time's
+    m and s^2 come from scalar code, since an array ``exp`` over the times
+    rounds differently.
+    """
     if p.affine is None:
         raise ValueError(f"problem {p.name!r} has no closed-form marginal law")
-    if not 0.0 <= t <= p.horizon:
+    t = np.asarray(t)
+    if t.ndim != 1:
+        raise ValueError(f"t must be a 1-D array of times, got shape {t.shape}")
+    if not np.all((0.0 <= t) & (t <= p.horizon)):
         raise ValueError("need 0 <= t <= horizon")
     a = p.affine
     if a.s1 == 0.0:
-        scale, var = _ou_transition(a.b1, a.s0, t)
-        return MarginalLaw(mean=p.x0 * float(scale), variance=float(var), family="gaussian")
-    return MarginalLaw(
-        mean=math.log(p.x0) + (a.b1 - 0.5 * a.s1**2) * t,
-        variance=a.s1**2 * t,
-        family="lognormal",
-    )
+        def moments(s):
+            scale, var = _ou_transition(a.b1, a.s0, s)
+            return p.x0 * scale, var
+    else:
+        def moments(s):
+            return math.log(p.x0) + (a.b1 - 0.5 * a.s1**2) * s, a.s1**2 * s
+    m, var = np.array([moments(s) for s in t]).reshape(-1, 2).T
+    out = np.multiply(np.sqrt(var)[:, None], z, out=out)
+    np.add(m[:, None], out, out=out)
+    if a.s1 != 0.0:
+        np.exp(out, out=out)
+    return out

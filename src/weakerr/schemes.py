@@ -155,11 +155,6 @@ def resolvent(b_prime, h: float):
     return 1.0 / resolvent_den(b_prime, h)
 
 
-def s_h(p: Problem, h: float, x):
-    """The resolvent map S_h(x) = 1 / (1 - h b'(x))."""
-    return resolvent(p.b_jet(x, order=1).deriv(1), h)
-
-
 def explicit_step(p: Problem, h: float, x, dw):
     """One explicit Euler step: x + b(x) h + sigma(x) dw."""
     return x + p.b_jet(x, order=0).value() * h + p.sigma_jet(x, order=0).value() * dw
@@ -264,5 +259,6 @@ def pathwise_derivative_check(p: Problem, cfg: SchemeConfig, h: float, x, dw,
     x_minus, _ = implicit_step(p, cfg, h, x, dw - eps)
     fd = (x_plus - x_minus) / (2.0 * eps)
     x_next, _ = implicit_step(p, cfg, h, x, dw)
-    theory = s_h(p, h, x_next) * p.sigma_jet(x, order=0).value()
+    theory = (resolvent(p.b_jet(x_next, order=1).deriv(1), h)
+              * p.sigma_jet(x, order=0).value())
     return fd, theory

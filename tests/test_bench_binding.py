@@ -87,13 +87,14 @@ def _traced_expansion_check(bench, p):
 
 def test_traced_c1_counts_every_node_and_call(bench):
     # C1 at 2 panels plus the 4-panel doubling estimate: 48 time nodes of
-    # 64 Gauss-Hermite nodes each, in one expect_psi call per 64 time nodes.
-    # The counters must see every node through the patched eval_psi, and
-    # the expect_psi, marginal_law and u_jet wrappers must see every call.
+    # 64 Gauss-Hermite nodes each, in one expect_psi call per 64 time nodes,
+    # which maps all its nodes in one marginal_law call.  The counters must
+    # see every node through the patched eval_psi, and the expect_psi,
+    # marginal_law and u_jet wrappers must see every call.
     metrics, names, tracer = _traced_expansion_check(bench, weakerr.get_problem("ou"))
     assert metrics["expansion.quad_nodes"] == 64 * 8 * (2 + 4) == 3072
     assert names.count("expansion.expect_psi") == 2
-    assert names.count("problems.marginal_law") == 8 * (2 + 4)
+    assert names.count("problems.marginal_law") == names.count("expansion.expect_psi") == 2
     assert tracer.aggregates()["expansion.eval_psi"][0] == 2
     assert metrics["problems.u_jet_calls"] == 2
     assert metrics["expansion.eval_psi_s"] > 0.0
@@ -107,4 +108,4 @@ def test_traced_c1_counts_on_a_quartic_config(bench):
     metrics, names, _ = _traced_expansion_check(bench, p)
     assert metrics["expansion.quad_nodes"] == 3072
     assert metrics["problems.u_jet_calls"] == 2
-    assert names.count("problems.marginal_law") == 8 * (2 + 4)
+    assert names.count("problems.marginal_law") == names.count("expansion.expect_psi") == 2

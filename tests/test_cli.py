@@ -468,6 +468,43 @@ class TestNumericalFailures:
         assert err == (f"weakerr: numerical failure: {argv[0]} on problem 'custom': "
                        f"report field {field} is nan\n")
 
+    @pytest.mark.parametrize("s", ["4", "6"])
+    def test_cancelled_variance_names_its_level(self, capsys, tmp_path, s):
+        # the level stderrs printed as 0.0 against a reference of 8e93
+        cfg = self.config(tmp_path, f"mu = 0.05\ns = {s}\nf_poly = 0,0,0,0,1\n")
+        code, out, err = run_cli(capsys, "mc", "--config", cfg, "--levels", "16,32,64",
+                                 "--paths", "2000")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("weakerr: numerical failure: mc on problem 'custom': "
+                              "level 16: the sample variance ")
+        assert err.count("\n") == 1
+
+    def test_heavy_tailed_but_resolved_variance_is_reported(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "mu = 0.05\ns = 2\nf_poly = 0,0,0,0,1\n")
+        code, out, _ = run_cli(capsys, "mc", "--config", cfg, "--levels", "16,32,64",
+                               "--paths", "2000")
+        assert code == EXIT_OK
+        assert all(lv["stderr"] > 0.0 for lv in json.loads(out)["levels"])
+
+    @pytest.mark.parametrize("argv", [("oracle", "--n-steps", "8"), ("converge",),
+                                      ("richardson",), ("expand",)],
+                             ids=lambda argv: argv[0])
+    def test_overflowing_moment_names_x0(self, capsys, tmp_path, argv):
+        # x0**2 overflows in the moment oracle; the line used to end in the
+        # C library's "(34, 'Numerical result out of range')"
+        cfg = self.config(tmp_path, "mu = 0.05\ns = 0.2\nx0 = 1e200\n")
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == (f"weakerr: numerical failure: {argv[0]} on problem 'custom': "
+                       f"the moment E X_0^2 = x0**2 overflows at x0 = 1e+200\n")
+
+    def test_non_finite_psi_names_its_cell(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "mu = 0.05\ns = 0.2\nx0 = 1e200\n")
+        code, out, err = run_cli(capsys, "psi", "--config", cfg, "--grid", "2x2")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == ("weakerr: numerical failure: psi on problem 'custom': "
+                       "psi at (t, x) = (0.0, 1e+200) is nan\n")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("text,argv", [
         # 40000 paths make two batches, so two threads both run one

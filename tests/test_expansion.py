@@ -269,9 +269,7 @@ class TestRiemannSum:
 
 def _gh_nodes(p, t):
     """The Gauss-Hermite nodes expect_psi places under the law of X_t."""
-    law = we.marginal_law(p, t)
-    xs = law.mean + np.sqrt(law.variance) * _GH_Z
-    return np.exp(xs) if law.family == "lognormal" else xs
+    return we.marginal_law(p, [t], _GH_Z)[0]
 
 
 class TestArrayPath:

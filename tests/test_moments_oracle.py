@@ -93,6 +93,27 @@ class TestPropagateMoments:
         m = propagate_moments(problems["ou"], SchemeConfig(n_steps=8), order=2)
         assert len(m) == 3 and m[0] == 1.0
 
+    def test_overflowing_start_moment_names_x0(self):
+        # x0**2 raises OverflowError in float arithmetic; the message names the
+        # moment and the parameter, not the C library's errno
+        p = we.gbm_family_problem("big", mu=0.05, s=0.2, f_poly=(0, 0, 1), x0=1e200,
+                                  horizon=1.0)
+        with pytest.raises(OverflowError) as exc:
+            propagate_moments(p, SchemeConfig(n_steps=8), order=2)
+        assert str(exc.value) == "the moment E X_0^2 = x0**2 overflows at x0 = 1e+200"
+
+    @pytest.mark.parametrize("kind,gamma", [("explicit", "1e+100"),
+                                            ("implicit", "8.88888888888889e+99")])
+    def test_overflowing_step_power_names_its_coefficient(self, kind, gamma):
+        # gamma = s0 (explicit) or s0 / (1 + theta h) (implicit); gamma**4
+        # enters the fourth moment's row of the transfer matrix
+        p = we.ou_family_problem("loud", theta=1.0, sigma=1e100, f_poly=(0, 0, 0, 0, 1),
+                                 x0=1.0, horizon=1.0)
+        with pytest.raises(OverflowError) as exc:
+            propagate_moments(p, SchemeConfig(n_steps=8, kind=kind), order=4)
+        assert str(exc.value) == (f"the moment recursion's gamma**4 overflows at "
+                                  f"gamma = {gamma}, the step's dW coefficient (from s0)")
+
 
 class TestWeakErrorExact:
     def test_bm_is_zero_to_rounding(self, problems):

@@ -172,6 +172,35 @@ class TestEstimateWeakError:
         combined = math.sqrt(sum(variances)) / 50
         assert abs(np.mean(ests) - oracle) <= 4.0 * combined
 
+    @pytest.mark.parametrize("s", [4.0, 6.0])
+    def test_cancelled_variance_is_a_numerical_failure(self, s):
+        # E X_T^4 is about 8e93 at s = 6: every sampled error sits near
+        # -reference, and the one-pass sum of squares less the squared sum
+        # keeps none of the variance's digits (it came out negative, and the
+        # stderr printed as 0.0).
+        p = we.gbm_family_problem("heavy", mu=0.05, s=s, f_poly=(0, 0, 0, 0, 1),
+                                  x0=1.0, horizon=1.0)
+        mc = McConfig(n_paths=2000, seed=0, levels=(16, 32, 64))
+        with pytest.raises(FloatingPointError, match=r"^level 16: the sample variance "):
+            estimate_weak_error(p, mc, "implicit")
+
+    def test_small_resolved_variance_is_kept(self):
+        # heavy-tailed too, but the variance is about 3e-9 of the raw second
+        # moment, far above the rounding of 2000 units
+        p = we.gbm_family_problem("heavy", mu=0.05, s=2.0, f_poly=(0, 0, 0, 0, 1),
+                                  x0=1.0, horizon=1.0)
+        rep = estimate_weak_error(p, McConfig(n_paths=2000, seed=0, levels=(16, 32, 64)),
+                                  "implicit")
+        assert all(lv.stderr > 0.0 for lv in rep.levels)
+
+    def test_exactly_zero_errors_keep_a_zero_stderr(self, problems):
+        # a constant payoff makes every error 0: no variance to lose
+        p = dataclasses.replace(problems["ou"], f=lambda x: np.ones_like(x),
+                                exact_terminal=lambda: 1.0)
+        rep = estimate_weak_error(p, McConfig(n_paths=1000, seed=3, levels=(8, 16)),
+                                  "implicit")
+        assert [(lv.estimate, lv.stderr) for lv in rep.levels] == [(0.0, 0.0)] * 2
+
     def test_no_convergence_carries_context(self, monkeypatch):
         # The drift vanishes on [-3, 3], where one fixed-point iteration is
         # exact, so a path fails at the first step that leaves the band.  The
@@ -195,6 +224,26 @@ class TestEstimateWeakError:
         assert exc.value.step_index == rows.min()
         assert exc.value.path_index == 100 * batch + int(np.argmin(rows))
         assert f"path {exc.value.path_index}: step {rows.min()}: " in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["ou", "gbm"])
+def test_stderr_covers_the_oracle_at_95_percent(problems, name):
+    # z = (MC - oracle) / stderr on 400 seeds of 2000 paths.  The levels of
+    # one report share their paths, so each seed counts one level, taken in
+    # turn.  If the stderr means what it says, the count with |z| <= 1.96 is
+    # Binomial(400, 0.95): it falls outside 362..396 (90.5%..99%) with
+    # probability 7.0e-5.  A stderr 25% too small gives about 88%, one twice
+    # too large about 100%, and a stderr of 0.0 an infinite z.
+    p = problems[name]
+    levels = (16, 32, 64)
+    oracle = {n: we.weak_error_exact(p, SchemeConfig(n_steps=n)) for n in levels}
+    inside = 0
+    for seed in range(400):
+        rep = estimate_weak_error(p, McConfig(levels=levels, n_paths=2000, seed=seed),
+                                  "implicit")
+        lv = rep.levels[seed % len(levels)]
+        inside += abs(lv.estimate - oracle[lv.n_steps]) <= 1.96 * lv.stderr
+    assert 362 <= inside <= 396
 
 
 class TestMultiBatchPins:

@@ -107,36 +107,60 @@ class TestKolmogorovResidual:
             we.kolmogorov_residual(problems["ou"], 0.99999, 0.0, 1e-3)
 
 
+def _law(p, t, log=False):
+    """(m, s) of the map g = m + s*z, or of log g with ``log``, read at z = 0 and 1."""
+    g = we.marginal_law(p, [t], [0.0, 1.0])[0]
+    if log:
+        g = np.log(g)
+    return g[0], g[1] - g[0]
+
+
 class TestMarginalLaw:
     def test_t_zero_is_dirac(self, problems):
-        # all mass at x0, in the problem's own family: variance 0
-        for name, family, moments in (("ou", "gaussian", (1.0, 0.0)),
-                                      ("gbm", "lognormal", (0.0, 0.0))):
-            law = we.marginal_law(problems[name], 0.0)
-            assert law.family == family
-            assert (law.mean, law.variance) == moments
+        # every standard-normal point maps to x0, in both families
+        z = np.linspace(-5.0, 5.0, 11)
+        for name in ("ou", "gbm"):
+            p = problems[name]
+            grid = we.marginal_law(p, [0.0, 0.5], z)
+            assert grid.shape == (2, 11)
+            assert (grid[0] == p.x0).all()
+            assert (grid[1] != p.x0).any()
 
     def test_bm_is_standard_gaussian_at_one(self, problems):
-        law = we.marginal_law(problems["bm"], 1.0)
-        assert law.family == "gaussian"
-        assert law.mean == pytest.approx(0.0, abs=1e-15)
-        assert law.variance == pytest.approx(1.0, abs=1e-12)
+        z = np.linspace(-3.0, 3.0, 7)
+        got = we.marginal_law(problems["bm"], [1.0], z)[0]
+        assert got == pytest.approx(z, abs=1e-12)
 
     def test_ou_long_time_variance_is_stationary(self):
-        # stationary variance sigma^2 / (2 theta) = 1/2
+        # stationary sd sqrt(sigma^2 / (2 theta)) = sqrt(1/2)
         p = ou_family_problem("ou_long", theta=1.0, sigma=1.0, f_poly=(0, 0, 1),
                               x0=1.0, horizon=50.0)
-        assert we.marginal_law(p, 50.0).variance == pytest.approx(0.5, abs=1e-12)
+        assert _law(p, 50.0)[1] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_gbm_lognormal_parameters(self, problems):
-        law = we.marginal_law(problems["gbm"], 1.0)
-        assert law.family == "lognormal"
-        assert law.mean == pytest.approx(0.05 - 0.5 * 0.04, abs=1e-15)
-        assert law.variance == pytest.approx(0.04, abs=1e-15)
+        m, sd = _law(problems["gbm"], 1.0, log=True)
+        assert m == pytest.approx(0.05 - 0.5 * 0.04, abs=1e-15)
+        assert sd == pytest.approx(0.2, abs=1e-15)
 
     def test_tanh_has_no_marginal(self, problems):
-        with pytest.raises(ValueError):
-            we.marginal_law(problems["tanh"], 0.5)
+        with pytest.raises(ValueError, match="no closed-form marginal law"):
+            we.marginal_law(problems["tanh"], [0.5], [0.0])
+
+    @pytest.mark.parametrize("t", [[-0.1], [0.5, 1.5], [np.nan], 0.5, [[0.5]]],
+                             ids=["negative", "past-T", "nan", "scalar", "2-D"])
+    def test_times_outside_the_horizon_or_not_1d_are_refused(self, problems, t):
+        with pytest.raises(ValueError, match="horizon|1-D"):
+            we.marginal_law(problems["ou"], t, [0.0])
+
+    @pytest.mark.parametrize("name", ["ou", "gbm"])
+    def test_rows_are_one_time_calls_written_into_out(self, problems, name):
+        p, z = problems[name], np.linspace(-2.0, 2.0, 5)
+        ts = np.array([0.0, 0.3, 1.0])
+        out = np.full((3, 5), np.nan)
+        assert we.marginal_law(p, ts, z, out=out) is out
+        for row, t in zip(out, ts):
+            assert row.tobytes() == we.marginal_law(p, [t], z)[0].tobytes()
+        assert we.marginal_law(p, [], z).shape == (0, 5)
 
     def test_ou_law_matches_composed_exact_transitions(self, problems):
         # semigroup check: ten exact sub-transitions vs the one-shot law
@@ -149,9 +173,9 @@ class TestMarginalLaw:
         var = (1.0 - math.exp(-2 * dt)) / 2.0
         for _ in range(steps):
             x = scale * x + math.sqrt(var) * rng.standard_normal(n)
-        law = we.marginal_law(p, t)
-        assert abs(x.mean() - law.mean) <= 4.0 * x.std() / math.sqrt(n)
-        assert x.var() == pytest.approx(law.variance, rel=0.02)
+        m, sd = _law(p, t)
+        assert abs(x.mean() - m) <= 4.0 * x.std() / math.sqrt(n)
+        assert x.var() == pytest.approx(sd**2, rel=0.02)
 
     def test_gbm_law_matches_composed_exact_transitions(self, problems):
         p = problems["gbm"]
@@ -161,9 +185,9 @@ class TestMarginalLaw:
         dt = t / steps
         for _ in range(steps):
             logx += (0.05 - 0.02) * dt + 0.2 * math.sqrt(dt) * rng.standard_normal(n)
-        law = we.marginal_law(p, t)
-        assert abs(logx.mean() - law.mean) <= 4.0 * logx.std() / math.sqrt(n)
-        assert logx.var() == pytest.approx(law.variance, rel=0.02)
+        m, sd = _law(p, t, log=True)
+        assert abs(logx.mean() - m) <= 4.0 * logx.std() / math.sqrt(n)
+        assert logx.var() == pytest.approx(sd**2, rel=0.02)
 
 
 class TestCoefficientJets:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import weakerr as we
-from weakerr.schemes import MAX_H_LIP, SchemeConfig, check_step_size
+from weakerr.schemes import MAX_H_LIP, SchemeConfig, check_step_size, resolvent
 
 
 def _random_states(p, rng, n):
@@ -17,20 +17,24 @@ def _random_states(p, rng, n):
 
 
 class TestSh:
+    """The resolvent S_h(x) = 1 / (1 - h b'(x)) at a problem's b'(x)."""
+
     def test_zero_drift_slope(self, problems):
-        assert we.s_h(problems["bm"], 0.3, 1.7) == 1.0
+        assert resolvent(problems["bm"].b_jet(1.7, order=1).deriv(1), 0.3) == 1.0
 
     def test_ou(self, problems):
-        assert we.s_h(problems["ou"], 0.1, 0.0) == pytest.approx(1.0 / 1.1, abs=1e-15)
+        assert resolvent(problems["ou"].b_jet(0.0, order=1).deriv(1), 0.1) == \
+            pytest.approx(1.0 / 1.1, abs=1e-15)
 
     def test_gbm(self, problems):
-        assert we.s_h(problems["gbm"], 0.1, 2.0) == pytest.approx(1.0 / 0.995, abs=1e-15)
+        assert resolvent(problems["gbm"].b_jet(2.0, order=1).deriv(1), 0.1) == \
+            pytest.approx(1.0 / 0.995, abs=1e-15)
 
     def test_singular_resolvent(self):
         p = we.gbm_family_problem("steep", mu=10.0, s=0.2, f_poly=(0, 0, 1),
                                   x0=1.0, horizon=1.0)
         with pytest.raises(we.SingularSh):
-            we.s_h(p, 0.1, 1.0)
+            resolvent(p.b_jet(1.0, order=1).deriv(1), 0.1)
 
 
 class TestExplicitStep:
