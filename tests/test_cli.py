@@ -480,6 +480,8 @@ class TestNumericalFailures:
         assert err.count("\n") == 1
 
     def test_heavy_tailed_but_resolved_variance_is_reported(self, capsys, tmp_path):
+        # the variance is about 3e-9 of the raw second moment, far above the
+        # rounding bound of 1000 antithetic units (about 3e-13)
         cfg = self.config(tmp_path, "mu = 0.05\ns = 2\nf_poly = 0,0,0,0,1\n")
         code, out, _ = run_cli(capsys, "mc", "--config", cfg, "--levels", "16,32,64",
                                "--paths", "2000")
