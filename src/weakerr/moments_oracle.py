@@ -45,25 +45,17 @@ def _dw_moments(h: float, kmax: int) -> list:
     return out[: kmax + 1]
 
 
-def _powers(value: float, order: int, overflow: str, **fields) -> list:
-    """value**k for k = 0..order, by float ``**``.
-
-    ``**`` raises OverflowError with only the C library's errno text; the
-    error raised instead reads ``overflow.format(k=k, value=value, **fields)``.
-    """
+def _powers(value: float, order: int, name: str, source: str) -> list:
+    """value**k for k = 0..order, by float ``**``, naming ``name`` and its
+    ``source`` parameter where ``**`` overflows (it says only errno's text)."""
     out = []
     for k in range(order + 1):
         try:
             out.append(value**k)
         except OverflowError:
-            raise OverflowError(overflow.format(k=k, value=value, **fields)) from None
+            raise OverflowError(f"{name}**{k} overflows in the moment recursion at "
+                                f"{name} = {value!r} (from {source})") from None
     return out
-
-
-_STEP_OVERFLOW = ("the moment recursion's {name}**{k} overflows at {name} = {value!r}, "
-                  "the step's {term} coefficient (from {source})")
-# (name, what it multiplies, the parameter behind it) of alpha, beta, gamma
-_STEP_TERMS = (("alpha", "X", "b1 and h"), ("beta", "X dW", "s1"), ("gamma", "dW", "s0"))
 
 
 def _transfer_matrix(alpha, beta, gamma, h, order):
@@ -73,8 +65,9 @@ def _transfer_matrix(alpha, beta, gamma, h, order):
     binomials, the dW powers integrate via the Gaussian moment table.
     """
     ew = _dw_moments(h, order)
-    pa, pb, pg = (_powers(c, order, _STEP_OVERFLOW, name=name, term=term, source=source)
-                  for c, (name, term, source) in zip((alpha, beta, gamma), _STEP_TERMS))
+    pa = _powers(alpha, order, "alpha", "b1 and h")
+    pb = _powers(beta, order, "beta", "s1")
+    pg = _powers(gamma, order, "gamma", "s0")
     T = [[0.0] * (order + 1) for _ in range(order + 1)]
     for j in range(order + 1):
         for m in range(j + 1):
@@ -98,7 +91,7 @@ def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> tuple:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     h = check_step_size(p, cfg)
     T = _transfer_matrix(*step_coefficients(p, cfg, h), h, order)
-    m = _powers(p.x0, order, "the moment E X_0^{k} = x0**{k} overflows at x0 = {value!r}")
+    m = _powers(p.x0, order, "x0", "the initial value")
     for _ in range(cfg.n_steps):
         m = [sum(T[j][i] * m[i] for i in range(j + 1)) for j in range(order + 1)]
     return tuple(m)

@@ -327,18 +327,21 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
     n = n_units
     means = sums / n
     cov = (prods - np.outer(sums, sums) / n) / (n - 1)
-    # In any order of addition, a level's sum of squares P errs by at most
-    # about n*u*P (u = 2**-53) and its sum by n*u*sqrt(n*P) (Cauchy-Schwarz),
-    # so P - sum**2/n errs by at most about 3*n*u*P.  A variance no larger
-    # than that over n - 1 holds none of its own digits; its stderr would be
+    # Each batch sums at most _BATCH terms (pairwise, or in BLAS, in any
+    # order), then the n_batches partials add in turn, so a level's sum of
+    # squares P errs by at most about k*u*P with k = min(n, _BATCH) +
+    # n_batches (u = 2**-53), and its sum by k*u*sqrt(n*P) (Cauchy-Schwarz):
+    # P - sum**2/n errs by at most about 3*k*u*P.  A variance no larger than
+    # that over n - 1 holds none of its own digits; its stderr would be
     # rounding noise, or 0.0 when the rounding came out negative.
-    floor = 1.5 * n * np.finfo(float).eps / (n - 1) * np.diag(prods)
+    k = min(n, _BATCH) + n_batches
+    floor = 1.5 * k * np.finfo(float).eps / (n - 1) * np.diag(prods)
     for j, nl in enumerate(levels):
         if not cov[j, j] > floor[j] and 0.0 < prods[j, j] < np.inf:
             raise FloatingPointError(
                 f"level {nl}: the sample variance {float(cov[j, j])!r} is not above its "
-                f"rounding bound {float(floor[j])!r} (3*n*u times the sum of squared "
-                f"errors over n - 1, n = {n}), so its stderr would be noise")
+                f"rounding bound {float(floor[j])!r} (3*k*u times the sum of squared "
+                f"errors over n - 1, n = {n}, k = {k}), so its stderr would be noise")
     reference = p.exact_terminal() if not surrogate else ref_sum / n
     level_estimates = tuple(
         LevelEstimate(

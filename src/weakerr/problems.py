@@ -373,16 +373,15 @@ def marginal_law(p: Problem, t, z, out=None) -> np.ndarray:
     if not np.all((0.0 <= t) & (t <= p.horizon)):
         raise ValueError("need 0 <= t <= horizon")
     a = p.affine
-    if a.s1 == 0.0:
-        def moments(s):
-            scale, var = _ou_transition(a.b1, a.s0, s)
-            return p.x0 * scale, var
+    lognormal = a.s1 != 0.0
+    if lognormal:
+        moments = [(math.log(p.x0) + (a.b1 - 0.5 * a.s1**2) * s, a.s1**2 * s) for s in t]
     else:
-        def moments(s):
-            return math.log(p.x0) + (a.b1 - 0.5 * a.s1**2) * s, a.s1**2 * s
-    m, var = np.array([moments(s) for s in t]).reshape(-1, 2).T
+        moments = [(p.x0 * scale, var)
+                   for scale, var in (_ou_transition(a.b1, a.s0, s) for s in t)]
+    m, var = np.array(moments).reshape(-1, 2).T
     out = np.multiply(np.sqrt(var)[:, None], z, out=out)
     np.add(m[:, None], out, out=out)
-    if a.s1 != 0.0:
+    if lognormal:
         np.exp(out, out=out)
     return out

@@ -498,7 +498,8 @@ class TestNumericalFailures:
         code, out, err = run_cli(capsys, *argv, "--config", cfg)
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == (f"weakerr: numerical failure: {argv[0]} on problem 'custom': "
-                       f"the moment E X_0^2 = x0**2 overflows at x0 = 1e+200\n")
+                       f"x0**2 overflows in the moment recursion at x0 = 1e+200 "
+                       f"(from the initial value)\n")
 
     def test_non_finite_psi_names_its_cell(self, capsys, tmp_path):
         cfg = self.config(tmp_path, "mu = 0.05\ns = 0.2\nx0 = 1e200\n")

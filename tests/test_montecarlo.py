@@ -184,6 +184,29 @@ class TestEstimateWeakError:
         with pytest.raises(FloatingPointError, match=r"^level 16: the sample variance "):
             estimate_weak_error(p, mc, "implicit")
 
+    def test_rounding_bound_follows_the_batched_summation(self, problems):
+        # 20000 antithetic units make two batches, so the sums run over
+        # k = _BATCH + 2 terms in turn, not n.  A reference shifted by c keeps
+        # the errors' variance and puts it at 6e-12 of the raw second moment:
+        # above 3*k*u (5.5e-12) but below 3*n*u (6.7e-12), which refused it.
+        u = np.finfo(float).eps / 2
+        n = 20_000
+        k = montecarlo._BATCH + 2
+        assert n > montecarlo._BATCH and 3 * k * u < 6e-12 < 3 * n * u
+        p, mc = problems["ou"], McConfig(n_paths=2 * n, seed=0, levels=(8, 16))
+        var = estimate_weak_error(p, mc, "implicit").covariance[0, 0]
+        c = math.sqrt(var / 6e-12)
+        shifted = dataclasses.replace(p, exact_terminal=lambda: p.exact_terminal() + c)
+        rep = estimate_weak_error(shifted, mc, "implicit")
+        ratio = rep.covariance[0, 0] / (rep.levels[0].estimate**2 + rep.covariance[0, 0])
+        assert 3 * k * u < ratio < 3 * n * u
+        assert all(lv.stderr > 0.0 for lv in rep.levels)
+        # the cancelled heavy-tailed variance is still refused at this n
+        heavy = we.gbm_family_problem("heavy", mu=0.05, s=6.0, f_poly=(0, 0, 0, 0, 1),
+                                      x0=1.0, horizon=1.0)
+        with pytest.raises(FloatingPointError, match=r"^level 8: the sample variance "):
+            estimate_weak_error(heavy, mc, "implicit")
+
     def test_exactly_zero_errors_keep_a_zero_stderr(self, problems):
         # a constant payoff makes every error 0: no variance to lose
         p = dataclasses.replace(problems["ou"], f=lambda x: np.ones_like(x),

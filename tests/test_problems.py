@@ -127,9 +127,9 @@ class TestMarginalLaw:
             assert (grid[1] != p.x0).any()
 
     def test_bm_is_standard_gaussian_at_one(self, problems):
-        z = np.linspace(-3.0, 3.0, 7)
-        got = we.marginal_law(problems["bm"], [1.0], z)[0]
-        assert got == pytest.approx(z, abs=1e-12)
+        m, sd = _law(problems["bm"], 1.0)
+        assert m == pytest.approx(0.0, abs=1e-15)
+        assert sd**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_ou_long_time_variance_is_stationary(self):
         # stationary sd sqrt(sigma^2 / (2 theta)) = sqrt(1/2)
