@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .problems import Problem
+from .problems import Problem, _powers
 from .schemes import SchemeConfig, check_step_size, resolvent_den
 
 MAX_ORDER = 8
@@ -45,19 +45,6 @@ def _dw_moments(h: float, kmax: int) -> list:
     return out[: kmax + 1]
 
 
-def _powers(value: float, order: int, name: str, source: str) -> list:
-    """value**k for k = 0..order, by float ``**``, naming ``name`` and its
-    ``source`` parameter where ``**`` overflows (it says only errno's text)."""
-    out = []
-    for k in range(order + 1):
-        try:
-            out.append(value**k)
-        except OverflowError:
-            raise OverflowError(f"{name}**{k} overflows in the moment recursion at "
-                                f"{name} = {value!r} (from {source})") from None
-    return out
-
-
 def _transfer_matrix(alpha, beta, gamma, h, order):
     """T[j][m] so that E X_{k+1}^j = sum_m T[j][m] E X_k^m.
 
@@ -65,9 +52,10 @@ def _transfer_matrix(alpha, beta, gamma, h, order):
     binomials, the dW powers integrate via the Gaussian moment table.
     """
     ew = _dw_moments(h, order)
-    pa = _powers(alpha, order, "alpha", "b1 and h")
-    pb = _powers(beta, order, "beta", "s1")
-    pg = _powers(gamma, order, "gamma", "s0")
+    where = "in the moment recursion"
+    pa = _powers(alpha, order, "alpha", "b1 and h", where)
+    pb = _powers(beta, order, "beta", "s1", where)
+    pg = _powers(gamma, order, "gamma", "s0", where)
     T = [[0.0] * (order + 1) for _ in range(order + 1)]
     for j in range(order + 1):
         for m in range(j + 1):
@@ -91,7 +79,7 @@ def propagate_moments(p: Problem, cfg: SchemeConfig, order: int) -> tuple:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     h = check_step_size(p, cfg)
     T = _transfer_matrix(*step_coefficients(p, cfg, h), h, order)
-    m = _powers(p.x0, order, "x0", "the initial value")
+    m = _powers(p.x0, order, "x0", "the initial value", "in the moment recursion")
     for _ in range(cfg.n_steps):
         m = [sum(T[j][i] * m[i] for i in range(j + 1)) for j in range(order + 1)]
     return tuple(m)

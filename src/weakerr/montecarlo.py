@@ -12,14 +12,14 @@ Each batch draws its fine increments once, step-major (Fortran order), from
 :func:`weakerr.rng.gaussian_increments`, and every level reaches
 :func:`run_paths` step-major, so that each step reads one contiguous column.
 A batch holds one draw-sized array.  The finest level is the draw itself,
-not a copy, and its antithetic pass negates it in place.  Coarse levels
-are summed from the column views ``fine[:, k::m]`` in the order of numpy's
-path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
-:func:`_pairwise_sum`, so every coarse increment keeps its bits.  They run
-in ascending order, each as one new array, except the largest: it runs
-last, after the finest level when that is the draw, and is summed into the
-draw's own leading columns ``fine[:, :n]``.  So at most one coarse array is
-alive at a time, and the largest level needs none.  Summed from a draw the
+not a copy, and its antithetic pass negates it in place.  Each coarse column
+is summed on its own, from its group of m fine columns, in the order of
+numpy's path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+:func:`_pairwise_sum`, so every coarse increment keeps its bits.  Levels run
+in ascending order, each as one new array, except the largest: it runs last,
+after the finest level when that is the draw, and is summed into the draw's
+own leading columns ``fine[:, :n]``.  So at most one coarse array is alive
+at a time, and the largest level needs none.  Summed from a draw the
 antithetic pass has negated, that level comes out negated, bit for bit
 (round-to-nearest addition is sign-symmetric), so its two passes merely run
 in the other order.  Elementwise arithmetic does not depend on memory order,
@@ -49,9 +49,6 @@ SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14
-# Coarse increments summed per block of columns: the block's eight partial
-# sums (8 x 2^14 doubles, 1 MB) stay in L2 cache while fine columns stream past.
-_SUM_BLOCK = 1 << 14
 # Surrogate references need finest_n >= SURROGATE_MARGIN * the largest
 # level, so that the fine grid is well separated from the levels it judges.
 SURROGATE_MARGIN = 8
@@ -150,67 +147,56 @@ def _level_increments(fine: np.ndarray, n_steps: int, *,
     Otherwise coarse step i is the sum of fine columns i*m .. i*m + m - 1,
     added in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
     on C-ordered rows, so every increment keeps the bits of the path-major
-    reshape-sum (see :func:`_pairwise_sum`).  Column views ``fine[:, k::m]``
-    are added one block of coarse columns at a time, into a new
-    Fortran-ordered array, or with ``in_place`` into the contiguous leading
-    columns ``fine[:, :n_steps]``, whose view is returned; the rest of
-    ``fine`` is then spent.  In place, each block is summed into a scratch
-    and then copied: the first block overlaps its own source columns, and
-    every later one reads only columns past those already written.
+    reshape-sum (see :func:`_pairwise_sum`).  Each coarse column is summed on
+    its own, into a new Fortran-ordered array, or with ``in_place`` into the
+    contiguous leading columns ``fine[:, :n_steps]``, whose view is returned;
+    the rest of ``fine`` is then spent.  In place, column i >= 1 lies left of
+    its sources, in a group already summed, and column 0 is its own first
+    term, so no scratch is needed: a level's working memory is at most
+    eight columns, whatever the batch.
     """
     rows, n_fine = fine.shape
     m = n_fine // n_steps
     if m == 1:
         return fine
-    width = max(1, _SUM_BLOCK // rows)
-    if in_place:
-        out = fine[:, :n_steps]
-        scratch = np.empty((rows, min(width, n_steps)), order="F")
-    else:
-        out = np.empty((rows, n_steps), order="F")
-    for lo in range(0, n_steps, width):
-        dst = out[:, lo:lo + width]
-        sums = scratch[:, :dst.shape[1]] if in_place else dst
-        _pairwise_sum(fine[:, lo * m:(lo + width) * m], m, 0, m, sums)
-        if in_place:
-            np.copyto(dst, sums)
+    out = fine[:, :n_steps] if in_place else np.empty((rows, n_steps), order="F")
+    for i in range(n_steps):
+        _pairwise_sum(fine[:, i * m:(i + 1) * m], out[:, i])
     # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
     out += 0.0
     return out
 
 
-def _pairwise_sum(fine: np.ndarray, m: int, first: int, count: int, out: np.ndarray):
-    """Into ``out``, terms first .. first + count - 1 of every group of m columns.
+def _pairwise_sum(cols: np.ndarray, out: np.ndarray):
+    """Into ``out``, the sum of the count columns of ``cols``, term k ``cols[:, k]``.
 
-    Term k of every group is the column view ``fine[:, k::m]``.  The order is
-    numpy's pairwise summation: a running sum below 8 terms; up to 128 terms,
-    eight partial sums r_j = a_j + a_{j+8} + ... combined as
+    The order is numpy's pairwise summation: a running sum below 8 terms; up
+    to 128 terms, eight partial sums r_j = a_j + a_{j+8} + ... combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the count mod 8
-    leftover terms in order; above 128, the sums of two halves split at
-    count // 2 rounded down to a multiple of 8.
+    leftover terms in order; above 128, the sums of the halves
+    ``cols[:, :half]`` and ``cols[:, half:]``, split at count // 2 rounded
+    down to a multiple of 8.
     """
-    def term(k):
-        return fine[:, first + k::m]
-
+    count = cols.shape[1]
     if count > 128:
         half = count // 2 - count // 2 % 8
-        _pairwise_sum(fine, m, first, half, out)
+        _pairwise_sum(cols[:, :half], out)
         rest = np.empty_like(out)
-        _pairwise_sum(fine, m, first + half, count - half, rest)
+        _pairwise_sum(cols[:, half:], rest)
         out += rest
         return
     if count < 8:
-        np.copyto(out, term(0))
+        np.copyto(out, cols[:, 0])
         for k in range(1, count):
-            out += term(k)
+            out += cols[:, k]
         return
     r = [out] + [np.empty_like(out) for _ in range(7)]
     for j in range(8):
-        np.copyto(r[j], term(j))
+        np.copyto(r[j], cols[:, j])
     tail = count - count % 8
     for i in range(8, tail, 8):
         for j in range(8):
-            r[j] += term(i + j)
+            r[j] += cols[:, i + j]
     r[0] += r[1]
     r[2] += r[3]
     r[4] += r[5]
@@ -219,7 +205,7 @@ def _pairwise_sum(fine: np.ndarray, m: int, first: int, count: int, out: np.ndar
     r[4] += r[6]
     r[0] += r[4]
     for k in range(tail, count):
-        out += term(k)
+        out += cols[:, k]
 
 
 def _n_workers() -> int:
@@ -305,6 +291,13 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             ref = 2.0 * vals[-1] - vals[-2]
         else:
             ref = np.full(hi - lo, p.exact_terminal())
+        for cfg, v in zip(configs, vals):
+            finite = np.isfinite(v)
+            if not finite.all():
+                i = int(np.argmin(finite))  # the batch's first non-finite payoff
+                what = "the antithetic pair's mean payoff" if mc.antithetic else "the payoff"
+                raise FloatingPointError(
+                    f"level {cfg.n_steps}, path {lo + i}: {what} is {float(v[i])!r}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])
         return err_rows.sum(axis=1), err_rows @ err_rows.T, float(ref.sum())
 

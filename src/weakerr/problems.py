@@ -105,6 +105,20 @@ class Problem:
 # polynomial helpers
 # ---------------------------------------------------------------------------
 
+def _powers(value: float, order: int, name: str, source: str, where: str) -> list:
+    """value**k for k = 0..order, by float ``**``, naming ``name``, its
+    ``source`` and ``where`` it serves if ``**`` overflows (Python's message
+    gives only errno's text)."""
+    out = []
+    for k in range(order + 1):
+        try:
+            out.append(value**k)
+        except OverflowError:
+            raise OverflowError(f"{name}**{k} overflows {where} at {name} = {value!r} "
+                                f"(from {source})") from None
+    return out
+
+
 def _poly_jet(coeffs, x) -> Jet4:
     """Value and first four derivatives of sum c_j x^j at x (float or array).
 
@@ -167,8 +181,20 @@ def _gaussian_push(coeffs, b1: float, sigma: float) -> Callable[[float], tuple]:
     def pushed(tau: float) -> tuple:
         scale, var = _ou_transition(b1, sigma, tau)
         out = [0.0] * len(coeffs)
-        for i, cc, m, e in table:
-            out[i] += cc * scale**i * (m * var**e)
+        try:
+            for i, cc, m, e in table:
+                out[i] += cc * scale**i * (m * var**e)
+        except OverflowError:
+            # float ** names no operand: redo the powers row by row, so that
+            # the first one to overflow raises with its name
+            tau = float(tau)
+            where = "in the closed-form expectation"
+            for i, _, _, e in table:
+                _powers(scale, i, "scale", f"e^(b1*tau), b1 = {b1!r}, tau = {tau!r}",
+                        where)
+                _powers(var, e, "var", f"the transition variance, b1 = {b1!r}, "
+                        f"sigma = {sigma!r}, tau = {tau!r}", where)
+            raise
         return tuple(out)
 
     return pushed
@@ -214,7 +240,20 @@ def affine_problem(name: str, model: AffineModel, f_poly, x0: float,
                              f"finite at b1 = {b1!r}, s1 = {s1!r}")
 
         def pushed(tau: float) -> tuple:
-            return tuple(c * math.exp(r * tau) for c, r in zip(f_poly, exponents))
+            try:
+                return tuple(c * math.exp(r * tau) for c, r in zip(f_poly, exponents))
+            except OverflowError:
+                # math.exp says only "math range error": name the exponent
+                for j, r in enumerate(exponents):
+                    try:
+                        math.exp(r * tau)
+                    except OverflowError:
+                        raise OverflowError(
+                            f"exp(r{j}*tau) overflows in the closed-form expectation at "
+                            f"r{j}*tau = {float(r * tau)!r} (from r{j} = {j}*b1 + "
+                            f"{j * (j - 1) // 2}*s1^2, b1 = {b1!r}, s1 = {s1!r}, "
+                            f"tau = {float(tau)!r})") from None
+                raise
 
     def u_jet(t, x) -> Jet4:
         # One scalar push per time node, stacked in t's shape: no array exp

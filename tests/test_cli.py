@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import weakerr as we
+from weakerr import rng
 from weakerr.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, \
     main, parse_problem_config
 
@@ -500,6 +503,63 @@ class TestNumericalFailures:
         assert err == (f"weakerr: numerical failure: {argv[0]} on problem 'custom': "
                        f"x0**2 overflows in the moment recursion at x0 = 1e+200 "
                        f"(from the initial value)\n")
+
+    # The config behind each closed-form overflow, and its message as a
+    # regex; {tau} stands for tau = T - t at the first time that overflows.
+    OVERFLOWS = {
+        "var": ("theta = 1\nsigma = 1e100\nf_poly = 0,0,0,0,1\n",
+                r"var\*\*2 overflows in the closed-form expectation at var = 4\.3\d*e\+199 "
+                r"\(from the transition variance, b1 = -1\.0, sigma = 1e\+100, tau = {tau}\)"),
+        "scale": ("theta = -400\nsigma = 1\n",
+                  r"scale\*\*2 overflows in the closed-form expectation at "
+                  r"scale = [45]\.\d+e\+173 \(from e\^\(b1\*tau\), b1 = 400\.0, tau = {tau}\)"),
+        "r4": ("mu = 0.05\ns = 12\nf_poly = 0,0,0,0,1\n",
+               r"exp\(r4\*tau\) overflows in the closed-form expectation at "
+               r"r4\*tau = 86[34]\.\d+ \(from r4 = 4\*b1 \+ 6\*s1\^2, b1 = 0\.05, "
+               r"s1 = 12\.0, tau = {tau}\)"),
+        "r1": ("mu = 0.05\ns = 0.2\nhorizon = 1e10\n",
+               r"exp\(r1\*tau\) overflows in the closed-form expectation at "
+               r"r1\*tau = \d+\.\d+ \(from r1 = 1\*b1 \+ 0\*s1\^2, b1 = 0\.05, s1 = 0\.2, "
+               r"tau = {tau}\)"),
+    }
+    OVERFLOW_ARGV = {"c1": ("c1",), "expand": ("expand",), "psi": ("psi", "--grid", "2x2"),
+                     "mc": ("mc", "--levels", "16,32", "--paths", "200"),
+                     "oracle": ("oracle", "--n-steps", "8")}
+
+    @pytest.mark.parametrize("case,command", [
+        ("var", "c1"), ("var", "expand"), ("var", "psi"), ("var", "mc"),
+        ("r4", "c1"), ("r4", "oracle"), ("r4", "expand"), ("r4", "psi"), ("r4", "mc"),
+        ("scale", "c1"), ("scale", "expand"), ("scale", "psi"),
+        ("r1", "c1"), ("r1", "expand"), ("r1", "psi"),
+    ])
+    def test_closed_form_overflow_names_its_term(self, capsys, tmp_path, case, command):
+        # Python's float ** and math.exp raise OverflowError with errno's text
+        # only: "(34, 'Numerical result out of range')" or "math range error".
+        # psi's first row, mc's reference and oracle's take u at t = 0, so
+        # tau = T; c1 and expand first reach it at a quadrature node past 0.
+        text, message = self.OVERFLOWS[case]
+        horizon = 1e10 if case == "r1" else 1.0
+        tau = re.escape(repr(horizon)) if command in ("psi", "mc", "oracle") else r"\d+\.\d+"
+        code, out, err = run_cli(capsys, *self.OVERFLOW_ARGV[command], "--config",
+                                 self.config(tmp_path, text))
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert re.fullmatch(f"weakerr: numerical failure: {command} on problem 'custom': "
+                            f"{message.format(tau=tau)}\n", err), err
+
+    def test_non_finite_payoff_names_its_path(self, capsys, tmp_path):
+        # sigma^2 T is finite, but an antithetic pair's payoffs x^2 sum to inf
+        # where |W_T| > 0.95; the line used to name the report field
+        # levels[0].estimate
+        cfg = self.config(tmp_path, "theta = 0\nsigma = 1e154\nf_poly = 0,0,1\n")
+        code, out, err = run_cli(capsys, "mc", "--config", cfg, "--levels", "16,32",
+                                 "--paths", "2000")
+        walks = rng.gaussian_increments(0, np.arange(1000, dtype=np.uint64), 32,
+                                        1 / 32).sum(axis=1)
+        bound = math.sqrt(np.finfo(float).max / 2)
+        path = int(np.flatnonzero(np.abs(1e154 * walks) > bound)[0])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == ("weakerr: numerical failure: mc on problem 'custom': "
+                       f"level 16, path {path}: the antithetic pair's mean payoff is inf\n")
 
     def test_non_finite_psi_names_its_cell(self, capsys, tmp_path):
         cfg = self.config(tmp_path, "mu = 0.05\ns = 0.2\nx0 = 1e200\n")

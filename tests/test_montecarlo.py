@@ -215,6 +215,32 @@ class TestEstimateWeakError:
                                   "implicit")
         assert [(lv.estimate, lv.stderr) for lv in rep.levels] == [(0.0, 0.0)] * 2
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_non_finite_payoff_names_its_level_and_path(self, monkeypatch, antithetic):
+        # x^2 overflows where |X_T| > sqrt(max float), and the sum of an
+        # antithetic pair's two equal payoffs where |X_T| > sqrt(max / 2).
+        # Here X_T = sigma * W_T up to rounding, and sigma lies between the
+        # bounds at which the largest and the second largest |W_T| of the run
+        # overflow, so exactly one path's payoff is inf, in the fifth of ten
+        # batches.
+        monkeypatch.setattr(montecarlo, "_BATCH", 100)
+        n = 1000
+        walks = rng.gaussian_increments(1, np.arange(n, dtype=np.uint64), 16,
+                                        1 / 16).sum(axis=1)
+        order = np.argsort(np.abs(walks))
+        top = int(order[-1])
+        assert top // 100 == 4
+        limit = np.finfo(float).max / (2.0 if antithetic else 1.0)
+        sigma = math.sqrt(limit / abs(walks[top] * walks[order[-2]]))
+        p = we.ou_family_problem("wide", theta=0.0, sigma=sigma, f_poly=(0, 0, 1),
+                                 x0=0.0, horizon=1.0)
+        mc = McConfig(levels=(8, 16), n_paths=2 * n if antithetic else n, seed=1,
+                      antithetic=antithetic)
+        with pytest.raises(FloatingPointError) as exc, np.errstate(over="ignore"):
+            estimate_weak_error(p, mc, "implicit")
+        what = "the antithetic pair's mean payoff" if antithetic else "the payoff"
+        assert str(exc.value) == f"level 8, path {top}: {what} is inf"
+
     def test_no_convergence_carries_context(self, monkeypatch):
         # The drift vanishes on [-3, 3], where one fixed-point iteration is
         # exact, so a path fails at the first step that leaves the band.  The
@@ -345,16 +371,15 @@ def _assert_reshape_sum_bits(fine_c, m):
 
 
 class TestLevelIncrements:
-    """Coarse increments summed from the step-major fine draw keep the bits
-    of ``fine.reshape(rows, n, m).sum(axis=2)`` over C-ordered rows: numpy's
-    pairwise order (left to right below 8 terms; eight strided accumulators
-    up to 128; halves split at a multiple of 8 above), from +0.0."""
+    """Coarse increments summed from the step-major fine draw, one coarse
+    column at a time, keep the bits of ``fine.reshape(rows, n, m).sum(axis=2)``
+    over C-ordered rows: numpy's pairwise order (left to right below 8
+    terms; eight strided accumulators up to 128; halves split at a multiple
+    of 8 above), from +0.0.  In place, a level needs a few columns of
+    working memory, not a share of the batch."""
 
-    @pytest.mark.parametrize("block", [1, 40, 1 << 14])
     @pytest.mark.parametrize("n_fine", [2048, 1020, 8 * 127, 8 * 129, 8 * 136, 3 * 300])
-    def test_every_divisor_keeps_the_reshape_sum_bits(self, monkeypatch, block, n_fine):
-        # block 1 sums one coarse column at a time, 40 a few, 2^14 the whole level
-        monkeypatch.setattr(montecarlo, "_SUM_BLOCK", block)
+    def test_every_divisor_keeps_the_reshape_sum_bits(self, n_fine):
         fine_c = _level_inputs(n_fine)
         for m in range(1, 1025):
             if n_fine % m == 0:
@@ -364,14 +389,12 @@ class TestLevelIncrements:
         for m in range(1, 1025):
             _assert_reshape_sum_bits(_level_inputs(2 * m), m)
 
-    @pytest.mark.parametrize("block", [1, 40, 1 << 14])
     @pytest.mark.parametrize("n_fine", [2048, 1020, 8 * 127, 8 * 129, 8 * 136, 3 * 300])
-    def test_in_place_level_keeps_the_bits(self, monkeypatch, block, n_fine):
-        # On these 18 rows a block is 1, 2 or up to 910 coarse columns, and the
-        # first one overlaps its own source columns.  The level is built over
-        # the draw as it stands (m = 1 is the draw, stepped as such) and over
-        # the negated draw, as the antithetic pass of the fine level leaves it.
-        monkeypatch.setattr(montecarlo, "_SUM_BLOCK", block)
+    def test_in_place_level_keeps_the_bits(self, n_fine):
+        # Coarse column 0 is its own group's first term, and every later one
+        # lies in a group already summed.  The level is built over the draw
+        # as it stands (m = 1 is the draw, stepped as such) and over the
+        # negated draw, as the antithetic pass of the fine level leaves it.
         fine = np.asfortranarray(_level_inputs(n_fine))
         for negated in (False, True):
             src = np.negative(fine) if negated else fine
@@ -385,6 +408,24 @@ class TestLevelIncrements:
                     got = montecarlo._level_increments(draw, n, in_place=True)
                 assert got.flags.f_contiguous and got.ctypes.data == draw.ctypes.data
                 _assert_same_sums(got, want, f"m = {m}, negated = {negated}")
+
+    @pytest.mark.parametrize("rows", [848, 1 << 14])
+    def test_in_place_working_memory_does_not_grow_with_the_batch(self, rows):
+        # The traced peak of one in-place level of a 512-step draw, in columns
+        # of the batch: the pairwise sums of one coarse column hold at most
+        # eight.  848 rows is the size of mc-tanh's last batch, where a sum
+        # over several coarse columns at once would hold far more than ten.
+        base = np.asfortranarray(np.random.default_rng(rows).normal(size=(rows, 512)))
+        draw = np.empty_like(base, order="F")
+        for n in (2, 4, 8, 16, 32, 64, 128, 256):
+            np.copyto(draw, base)
+            tracemalloc.start()
+            try:
+                montecarlo._level_increments(draw, n, in_place=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 * rows * 8, f"{n} steps: {peak / (rows * 8):.1f} columns"
 
 
 class TestBatchLayout:

@@ -328,6 +328,43 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match=f"'{key}' must be finite"):
             we.AffineModel(**{"b1": 0.1, "s0": 1.0, "s1": 0.0, key: bad})
 
+    def test_gaussian_overflow_names_the_variance_power(self):
+        # var**2 raises OverflowError in Python float arithmetic, whose
+        # message is only "(34, 'Numerical result out of range')"
+        p = we.ou_family_problem("x", theta=1.0, sigma=1e100,
+                                 f_poly=(0.0, 0.0, 0.0, 0.0, 1.0), x0=1.0, horizon=1.0)
+        var = float(1e200 * np.expm1(-2.0) / -2.0)
+        with pytest.raises(OverflowError) as exc:
+            p.exact_terminal()
+        assert str(exc.value) == (
+            f"var**2 overflows in the closed-form expectation at var = {var!r} "
+            f"(from the transition variance, b1 = -1.0, sigma = 1e+100, tau = 1.0)")
+
+    def test_gaussian_overflow_names_the_scale_power(self):
+        p = we.ou_family_problem("x", theta=-400.0, sigma=1.0, f_poly=(0.0, 0.0, 1.0),
+                                 x0=1.0, horizon=1.0)
+        with pytest.raises(OverflowError) as exc, np.errstate(over="ignore"):
+            p.u_jet(np.array([0.0, 0.5]), 1.0)
+        assert str(exc.value) == (
+            f"scale**2 overflows in the closed-form expectation at "
+            f"scale = {float(np.exp(400.0))!r} (from e^(b1*tau), b1 = 400.0, tau = 1.0)")
+
+    @pytest.mark.parametrize("s,f_poly,horizon,message", [
+        (12.0, (0.0, 0.0, 0.0, 0.0, 1.0), 1.0,
+         "exp(r4*tau) overflows in the closed-form expectation at r4*tau = 864.2 "
+         "(from r4 = 4*b1 + 6*s1^2, b1 = 0.05, s1 = 12.0, tau = 1.0)"),
+        (0.2, (0.0, 0.0, 1.0), 1e10,
+         "exp(r1*tau) overflows in the closed-form expectation at r1*tau = 500000000.0 "
+         "(from r1 = 1*b1 + 0*s1^2, b1 = 0.05, s1 = 0.2, tau = 10000000000.0)"),
+    ], ids=["s=12", "horizon=1e10"])
+    def test_lognormal_overflow_names_the_exponent(self, s, f_poly, horizon, message):
+        # math.exp raises OverflowError("math range error")
+        p = we.gbm_family_problem("x", mu=0.05, s=s, f_poly=f_poly, x0=1.0,
+                                  horizon=horizon)
+        with pytest.raises(OverflowError) as exc:
+            p.exact_terminal()
+        assert str(exc.value) == message
+
 
 # Custom problems of each family, built the way ``--config`` builds them.
 CONFIGS = {
