@@ -32,7 +32,8 @@ map of a standard normal: it takes the Gauss-Hermite points to the nodes,
 so this module does not know the problem's family.
 
 The densities accept jets whose slots are arrays (a batch of points, see
-:mod:`weakerr.jets`) and then return an array, so one call covers the
+:mod:`weakerr.jets`) and then return an array.  :func:`expect_psi` walks
+any number of time nodes 64 at a time, so one density call covers the
 Gauss-Hermite nodes of 64 time nodes, as a (time, space) grid.  Each time
 node's law moments and u coefficients come from scalar code, since an
 array ``exp`` over the times rounds differently; the u jet computes each
@@ -73,8 +74,8 @@ _GH_W = _GH_W / _GH_W.sum()
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_PER_PANEL)
 
-# Time nodes per expect_psi call.  One call amortises the jet algebra over a
-# (64, 64) grid and adds about 0.5 MB to the peak memory of the per-node
+# Time nodes per expect_psi grid.  One grid amortises the jet algebra over
+# (64, 64) nodes and adds about 0.5 MB to the peak memory of the per-node
 # loop; all 1024 nodes of a 128-panel integral at once would add about 11 MB.
 _T_CHUNK = 64
 
@@ -258,21 +259,19 @@ def psi_at(p: Problem, kind: PsiKind, t, x, scratch=None):
 class _Scratch:
     """Grid arrays that :func:`expect_psi` writes into instead of new ones.
 
-    Each name gets its arrays of ``capacity`` time rows the first time it is
+    Each name gets its arrays of ``_T_CHUNK`` time rows the first time it is
     asked for, and keeps them; ``rows``, set per grid, cuts them to the
     grid's time nodes.  Every array is written before it is read.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.rows = capacity
+    def __init__(self):
+        self.rows = _T_CHUNK
         self._arrays = {}
 
     def arrays(self, name: str, count: int, cols: int = _GH_POINTS) -> list:
         kept = self._arrays.get(name)
         if kept is None:
-            kept = self._arrays[name] = [np.empty((self.capacity, cols))
-                                         for _ in range(count)]
+            kept = self._arrays[name] = [np.empty((_T_CHUNK, cols)) for _ in range(count)]
         return [a[:self.rows] for a in kept]
 
 
@@ -285,55 +284,47 @@ class _Scratch:
 _THREAD = threading.local()
 
 
-def _scratch(rows: int) -> _Scratch:
-    """The calling thread's scratch, cut to ``rows``; one for this grid alone above _T_CHUNK."""
-    if rows > _T_CHUNK:
-        return _Scratch(rows)
-    scratch = getattr(_THREAD, "scratch", None)
-    if scratch is None:
-        scratch = _THREAD.scratch = _Scratch(_T_CHUNK)
-    scratch.rows = rows
-    return scratch
-
-
-def expect_psi(p: Problem, kind: PsiKind, t):
+def expect_psi(p: Problem, kind: PsiKind, t) -> np.ndarray:
     """E psi(t, X_t) under the exact marginal law, by Gauss-Hermite.
 
-    ``t`` is a float, giving a float, or a 1-D array of times, giving the
-    array of expectations from one :func:`psi_at` call on a (times, nodes)
-    grid; an empty array gives an empty array.  Any other shape is refused.
-    One :func:`marginal_law` call maps the Gauss-Hermite points to the
-    grid's nodes, written into this thread's scratch.
+    ``t`` is a 1-D array of times, of any length (an empty one gives an
+    empty result); any other shape is refused.  The times go ``_T_CHUNK``
+    at a time onto (times, nodes) grids in this thread's scratch: one
+    :func:`marginal_law` call maps the Gauss-Hermite points to a grid's
+    nodes and one :func:`psi_at` call evaluates them, so the working memory
+    is one grid's, whatever the length.  The result is a new array.
     """
-    ts = np.atleast_1d(t)
+    ts = np.asarray(t)
     if ts.ndim != 1:
-        raise ValueError(f"t must be a float or a 1-D array of times, got shape {ts.shape}")
-    if ts.size == 0:
-        return np.zeros(0)
-    scratch = _scratch(len(ts))
-    xs = marginal_law(p, ts, _GH_Z, out=scratch.arrays("nodes", 1)[0])
-    terms, sums = scratch.arrays("terms", 2, cols=1 + _GH_POINTS)
-    terms[:, 0] = 0.0
-    np.multiply(_GH_W, psi_at(p, kind, ts[:, None], xs, scratch=scratch),
-                out=terms[:, 1:])
-    # Each row is added left to right from 0, as the builtin sum over scalar
-    # nodes would; np.sum adds pairwise and would change the bits.
-    acc = np.add.accumulate(terms, axis=1, out=sums)[:, -1]
-    return float(acc[0]) if np.ndim(t) == 0 else acc.copy()
+        raise ValueError(f"t must be a 1-D array of times, got shape {ts.shape}")
+    scratch = getattr(_THREAD, "scratch", None)
+    if scratch is None:
+        scratch = _THREAD.scratch = _Scratch()
+    out = np.empty(ts.size)
+    for lo in range(0, ts.size, _T_CHUNK):
+        chunk = ts[lo:lo + _T_CHUNK]
+        scratch.rows = chunk.size
+        xs = marginal_law(p, chunk, _GH_Z, out=scratch.arrays("nodes", 1)[0])
+        terms, sums = scratch.arrays("terms", 2, cols=1 + _GH_POINTS)
+        terms[:, 0] = 0.0
+        np.multiply(_GH_W, psi_at(p, kind, chunk[:, None], xs, scratch=scratch),
+                    out=terms[:, 1:])
+        # Each row is added left to right from 0, as the builtin sum over
+        # scalar nodes would; np.sum adds pairwise and would change the bits.
+        out[lo:lo + _T_CHUNK] = np.add.accumulate(terms, axis=1, out=sums)[:, -1]
+    return out
 
 
 def _time_integral(p: Problem, kind: PsiKind, panels: int) -> float:
     """Composite Gauss-Legendre integral of E psi(t, X_t) over [0, T].
 
-    The nodes go to :func:`expect_psi` ``_T_CHUNK`` at a time, and the
-    weighted values are added one by one in node order, from 0.
+    All nodes go to one :func:`expect_psi` call, and the weighted values
+    are added one by one in node order, from 0.
     """
     width = p.horizon / panels
     ts = (((np.arange(panels) + 0.5) * width)[:, None] + 0.5 * width * _GL_X).ravel()
     terms = np.zeros(1 + ts.size)
-    terms[1:] = np.tile(0.5 * width * _GL_W, panels)
-    for lo in range(0, ts.size, _T_CHUNK):
-        terms[1 + lo:1 + lo + _T_CHUNK] *= expect_psi(p, kind, ts[lo:lo + _T_CHUNK])
+    terms[1:] = np.tile(0.5 * width * _GL_W, panels) * expect_psi(p, kind, ts)
     return float(np.add.accumulate(terms)[-1])
 
 

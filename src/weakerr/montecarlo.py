@@ -43,7 +43,7 @@ import numpy as np
 from . import rng
 from .counts import is_count, is_uint64
 from .problems import Problem
-from .schemes import NoConvergence, SchemeConfig, level_set, run_paths
+from .schemes import NoConvergence, SchemeConfig, iter_paths, level_set, run_paths
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -208,6 +208,25 @@ def _pairwise_sum(cols: np.ndarray, out: np.ndarray):
         out += cols[:, k]
 
 
+def _first_non_finite_state(p: Problem, cfg: SchemeConfig, incs: np.ndarray,
+                            row: int, antithetic: bool) -> str:
+    """Where path ``row`` of a batch's level first has a state that is not finite.
+
+    The whole batch's level increments ``incs`` are stepped again, on +dW,
+    then on -dW when ``antithetic`` (negating ``incs`` in place): the
+    fixed-point iteration count depends on the batch, so only the whole
+    batch gives the states of the run, bit for bit.
+    """
+    for sign in ("+", "-") if antithetic else ("+",):
+        if sign == "-":
+            np.negative(incs, out=incs)
+        for k, x in enumerate(iter_paths(p, cfg, incs)):
+            if not np.isfinite(x[row]):
+                where = f" on {sign}dW" if antithetic else ""
+                return f"its state{where} is first {float(x[row])!r} at step {k}"
+    return "its state is finite at every step" + (" of both passes" if antithetic else "")
+
+
 def _n_workers() -> int:
     """The worker cap from ``WEAKERR_THREADS`` (default 1)."""
     text = os.environ.get("WEAKERR_THREADS", "1")
@@ -268,7 +287,9 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         # Levels ascend and divide finest_n.  A level that is the fine draw
         # itself is stepped before the largest coarse level, which goes last,
         # summed into the draw's own leading columns, negated if the draw is:
-        # 0.5 * (v + v') does not depend on which sign runs first.
+        # 0.5 * v + 0.5 * v' does not depend on which sign runs first.  Each
+        # payoff is halved before the sum, so a pair of finite payoffs above
+        # half the largest float keeps a finite mean.
         order = list(range(len(configs)))
         if configs[-1].n_steps == finest_n and len(order) > 1:
             order[-2:] = order[-1], order[-2]
@@ -279,7 +300,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                 v = payoffs(cfg, incs)
                 if mc.antithetic:
                     np.negative(incs, out=incs)
-                    v = 0.5 * (v + payoffs(cfg, incs))
+                    v = 0.5 * v + 0.5 * payoffs(cfg, incs)
             except NoConvergence as err:
                 path = lo + (err.path_index or 0)
                 raise NoConvergence(
@@ -296,8 +317,12 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             if not finite.all():
                 i = int(np.argmin(finite))  # the batch's first non-finite payoff
                 what = "the antithetic pair's mean payoff" if mc.antithetic else "the payoff"
+                # the level loop spent the draw in place; the replay draws it again
+                fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
+                where = _first_non_finite_state(
+                    p, cfg, _level_increments(fine, cfg.n_steps), i, mc.antithetic)
                 raise FloatingPointError(
-                    f"level {cfg.n_steps}, path {lo + i}: {what} is {float(v[i])!r}")
+                    f"level {cfg.n_steps}, path {lo + i}: {what} is {float(v[i])!r}; {where}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])
         return err_rows.sum(axis=1), err_rows @ err_rows.T, float(ref.sum())
 

@@ -75,22 +75,23 @@ def test_traced_mc_counts_batches_normals_and_path_steps(bench, monkeypatch):
     assert metrics["schemes.path_steps"] == 500 * sum(sim_levels)
 
 
-def _traced_expansion_check(bench, p):
-    """Metrics, span names and tracer of a traced C1 at 2 and 4 panels on ``p``."""
+def _traced_expansion_check(bench, p, quad_nodes=2):
+    """Metrics, span names and tracer of a traced C1 at ``quad_nodes`` panels,
+    and twice that for its error estimate, on ``p``."""
     layers, spans, _ = bench
     tracer = spans.Tracer()
     p = layers.traced_problems(tracer, {p.name: p})[p.name]
     with spans.patched(layers.instrument(tracer, weakerr)), tracer.span("job"):
-        weakerr.rates.expansion_check(p, (16, 32, 64), quad_nodes=2)
+        weakerr.rates.expansion_check(p, (16, 32, 64), quad_nodes=quad_nodes)
     return layers.job_metrics(tracer, 0.0), [sp.name for sp in tracer.spans], tracer
 
 
 def test_traced_c1_counts_every_node_and_call(bench):
     # C1 at 2 panels plus the 4-panel doubling estimate: 48 time nodes of
-    # 64 Gauss-Hermite nodes each, in one expect_psi call per 64 time nodes,
-    # which maps all its nodes in one marginal_law call.  The counters must
-    # see every node through the patched eval_psi, and the expect_psi,
-    # marginal_law and u_jet wrappers must see every call.
+    # 64 Gauss-Hermite nodes each, in one expect_psi call per pass, which
+    # maps the nodes of each 64 time nodes in one marginal_law call.  The
+    # counters must see every node through the patched eval_psi, and the
+    # expect_psi, marginal_law and u_jet wrappers must see every call.
     metrics, names, tracer = _traced_expansion_check(bench, weakerr.get_problem("ou"))
     assert metrics["expansion.quad_nodes"] == 64 * 8 * (2 + 4) == 3072
     assert names.count("expansion.expect_psi") == 2
@@ -109,3 +110,15 @@ def test_traced_c1_counts_on_a_quartic_config(bench):
     assert metrics["expansion.quad_nodes"] == 3072
     assert metrics["problems.u_jet_calls"] == 2
     assert names.count("problems.marginal_law") == names.count("expansion.expect_psi") == 2
+
+
+def test_traced_c1_walks_its_time_nodes_in_one_call_per_pass(bench):
+    # 16 and 32 panels: 128 and 256 time nodes, each pass one expect_psi
+    # call that maps its nodes 64 time nodes at a time, 2 + 4 grids
+    metrics, names, tracer = _traced_expansion_check(bench, weakerr.get_problem("ou"),
+                                                     quad_nodes=16)
+    assert metrics["expansion.quad_nodes"] == 64 * 8 * (16 + 32)
+    assert names.count("expansion.expect_psi") == 2
+    assert names.count("problems.marginal_law") == 2 + 4
+    assert tracer.aggregates()["expansion.eval_psi"][0] == 6
+    assert metrics["problems.u_jet_calls"] == 6

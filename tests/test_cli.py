@@ -547,19 +547,20 @@ class TestNumericalFailures:
                             f"{message.format(tau=tau)}\n", err), err
 
     def test_non_finite_payoff_names_its_path(self, capsys, tmp_path):
-        # sigma^2 T is finite, but an antithetic pair's payoffs x^2 sum to inf
-        # where |W_T| > 0.95; the line used to name the report field
-        # levels[0].estimate
+        # sigma^2 T is finite, but the payoff x^2 overflows where
+        # |W_T| > 1.34, at a finite state; the line used to name the report
+        # field levels[0].estimate
         cfg = self.config(tmp_path, "theta = 0\nsigma = 1e154\nf_poly = 0,0,1\n")
         code, out, err = run_cli(capsys, "mc", "--config", cfg, "--levels", "16,32",
                                  "--paths", "2000")
         walks = rng.gaussian_increments(0, np.arange(1000, dtype=np.uint64), 32,
                                         1 / 32).sum(axis=1)
-        bound = math.sqrt(np.finfo(float).max / 2)
+        bound = math.sqrt(np.finfo(float).max)
         path = int(np.flatnonzero(np.abs(1e154 * walks) > bound)[0])
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == ("weakerr: numerical failure: mc on problem 'custom': "
-                       f"level 16, path {path}: the antithetic pair's mean payoff is inf\n")
+                       f"level 16, path {path}: the antithetic pair's mean payoff is inf; "
+                       "its state is finite at every step of both passes\n")
 
     def test_non_finite_psi_names_its_cell(self, capsys, tmp_path):
         cfg = self.config(tmp_path, "mu = 0.05\ns = 0.2\nx0 = 1e200\n")

@@ -1,9 +1,11 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,8 +265,8 @@ class TestLeadingConstant:
 class TestRiemannSum:
     def test_expect_psi_dirac_at_time_zero(self, problems):
         p = problems["ou"]
-        assert expect_psi(p, PSI_I, 0.0) == pytest.approx(psi_at(p, PSI_I, 0.0, p.x0),
-                                                          rel=1e-14)
+        assert expect_psi(p, PSI_I, [0.0])[0] == pytest.approx(psi_at(p, PSI_I, 0.0, p.x0),
+                                                               rel=1e-14)
 
 
 def _gh_nodes(p, t):
@@ -389,8 +391,7 @@ class TestTimeBatch:
         batch = expect_psi(p, kind, ts)
         assert batch.shape == ts.shape
         for t, v in zip(ts, batch):
-            e = expect_psi(p, kind, float(t))
-            assert type(e) is float
+            e = expect_psi(p, kind, [t])[0]
             assert e == v
             assert e == float(sum(_GH_W * psi_at(p, kind, t, _gh_nodes(p, t))))
 
@@ -401,9 +402,10 @@ class TestExpectPsiShapes:
             got = expect_psi(problems[name], PSI_I, np.array([]))
             assert isinstance(got, np.ndarray) and got.shape == (0,)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (4, 1), (1, 1, 2), (0, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 1), (1, 1, 2), (0, 2), ()])
     def test_times_of_two_or_more_dimensions_are_refused(self, problems, shape):
-        with pytest.raises(ValueError, match=rf"\({shape[0]}, {shape[1]}"):
+        # a 0-d time is refused too: the result is always an array
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             expect_psi(problems["ou"], PSI_I, np.full(shape, 0.5))
 
 
@@ -483,6 +485,22 @@ class TestScratch:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == serial
+
+
+def test_expect_psi_working_memory_is_one_grid(problems):
+    # 1024 time nodes walk the thread's kept (64, 64) grid arrays 64 rows at
+    # a time, so a warm call needs about one grid's temporaries (0.34 MB),
+    # not the 13 MB of one (1024, 64) grid
+    p = problems["gbm"]
+    ts = np.linspace(0.0, 1.0, 1024)
+    expect_psi(p, PSI_I, ts)
+    tracemalloc.start()
+    try:
+        expect_psi(p, PSI_I, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 # Minor page faults of expand jobs (ou and gbm, 64 panels: 48 grids of

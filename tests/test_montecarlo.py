@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from weakerr import montecarlo, rng
 from weakerr.montecarlo import McConfig, estimate_weak_error, richardson
 from weakerr.rates import oracle_report
 from weakerr.reports import render
-from weakerr.schemes import SchemeConfig
+from weakerr.schemes import SchemeConfig, iter_paths
 
 
 class TestMcConfig:
@@ -217,12 +218,12 @@ class TestEstimateWeakError:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_non_finite_payoff_names_its_level_and_path(self, monkeypatch, antithetic):
-        # x^2 overflows where |X_T| > sqrt(max float), and the sum of an
-        # antithetic pair's two equal payoffs where |X_T| > sqrt(max / 2).
+        # x^2 overflows where |X_T| > sqrt(max float), and so does the mean
+        # of an antithetic pair's two equal payoffs, halved before they add.
         # Here X_T = sigma * W_T up to rounding, and sigma lies between the
         # bounds at which the largest and the second largest |W_T| of the run
         # overflow, so exactly one path's payoff is inf, in the fifth of ten
-        # batches.
+        # batches.  Its states are finite.
         monkeypatch.setattr(montecarlo, "_BATCH", 100)
         n = 1000
         walks = rng.gaussian_increments(1, np.arange(n, dtype=np.uint64), 16,
@@ -230,8 +231,7 @@ class TestEstimateWeakError:
         order = np.argsort(np.abs(walks))
         top = int(order[-1])
         assert top // 100 == 4
-        limit = np.finfo(float).max / (2.0 if antithetic else 1.0)
-        sigma = math.sqrt(limit / abs(walks[top] * walks[order[-2]]))
+        sigma = math.sqrt(np.finfo(float).max / abs(walks[top] * walks[order[-2]]))
         p = we.ou_family_problem("wide", theta=0.0, sigma=sigma, f_poly=(0, 0, 1),
                                  x0=0.0, horizon=1.0)
         mc = McConfig(levels=(8, 16), n_paths=2 * n if antithetic else n, seed=1,
@@ -239,7 +239,44 @@ class TestEstimateWeakError:
         with pytest.raises(FloatingPointError) as exc, np.errstate(over="ignore"):
             estimate_weak_error(p, mc, "implicit")
         what = "the antithetic pair's mean payoff" if antithetic else "the payoff"
-        assert str(exc.value) == f"level 8, path {top}: {what} is inf"
+        where = "its state is finite at every step" + (" of both passes" if antithetic else "")
+        assert str(exc.value) == f"level 8, path {top}: {what} is inf; {where}"
+
+    def test_finite_antithetic_payoffs_above_half_the_largest_float(self, problems):
+        # every pair's payoffs would sum to inf; halved first, only path 7's
+        # mean is not finite
+        def f(x):
+            v = np.full(np.shape(x), 1.2e308)
+            v[7] = np.inf
+            return v
+
+        p = dataclasses.replace(problems["ou"], f=f)
+        with pytest.raises(FloatingPointError) as exc:
+            estimate_weak_error(p, McConfig(levels=(8, 16), n_paths=200, seed=1), "implicit")
+        assert str(exc.value) == ("level 8, path 7: the antithetic pair's mean payoff is inf; "
+                                  "its state is finite at every step of both passes")
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_non_finite_state_names_its_step(self, antithetic):
+        # sigma(x) = c sqrt(1 + x^2) with c = 1e100 takes the explicit state
+        # past the floats within a few steps of the +dW pass.  An explicit
+        # step does not depend on the rest of the batch, so one row, stepped
+        # on its own, gives the step the message must name.
+        p = we.tanh_problem(c=1e100)
+        mc = McConfig(levels=(8, 16), n_paths=200, seed=1, antithetic=antithetic)
+        with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
+            estimate_weak_error(p, mc, "explicit")
+        got = re.fullmatch(r"level 8, path (\d+): .* is nan; (.*)", str(exc.value))
+        assert got, str(exc.value)
+        finest = montecarlo.SURROGATE_MARGIN * 16
+        row = rng.gaussian_increments(1, np.array([int(got[1])], dtype=np.uint64), finest,
+                                      1 / finest)
+        with np.errstate(all="ignore"):
+            states = [float(x[0]) for x in iter_paths(p, SchemeConfig(8, "explicit"),
+                                                      montecarlo._level_increments(row, 8))]
+        k = next(k for k, x in enumerate(states) if not math.isfinite(x))
+        where = " on +dW" if antithetic else ""
+        assert got[2] == f"its state{where} is first {states[k]!r} at step {k}"
 
     def test_no_convergence_carries_context(self, monkeypatch):
         # The drift vanishes on [-3, 3], where one fixed-point iteration is
