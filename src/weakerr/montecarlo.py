@@ -9,22 +9,18 @@ bitwise-deterministic function of (problem, McConfig, scheme settings),
 independent of batch execution order or worker count.
 
 Each batch draws its fine increments once, step-major (Fortran order), from
-:func:`weakerr.rng.gaussian_increments`, and every level reaches
-:func:`run_paths` step-major, so that each step reads one contiguous column.
-A batch holds one draw-sized array.  The finest level is the draw itself,
-not a copy, and its antithetic pass negates it in place.  Each coarse column
-is summed on its own, from its group of m fine columns, in the order of
-numpy's path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
-:func:`_pairwise_sum`, so every coarse increment keeps its bits.  Levels run
-in ascending order, each as one new array, except the largest: it runs last,
-after the finest level when that is the draw, and is summed into the draw's
-own leading columns ``fine[:, :n]``.  So at most one coarse array is alive
-at a time, and the largest level needs none.  Summed from a draw the
-antithetic pass has negated, that level comes out negated, bit for bit
-(round-to-nearest addition is sign-symmetric), so its two passes merely run
-in the other order.  Elementwise arithmetic does not depend on memory order,
-so the layout cannot change a result (the tests pin the same bytes for
-C-ordered, Fortran-ordered and strided increments).
+:func:`weakerr.rng.gaussian_increments`, and holds that draw and one
+column of the level it steps.  Every level and sign, in ascending level
+order, reaches :func:`run_paths` as a reader over the intact draw
+(:class:`_Level`): step k reads the draw's own column when the level is the
+draw, and otherwise the sum of its group of m fine columns, formed as the
+step runs into one kept column, in the order of numpy's path-major
+``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+:func:`_pairwise_sum`, so every coarse increment keeps its bits; on -dW the
+column is negated.  The draw is never written, so a replay reads it as the
+run did.  Elementwise arithmetic does not depend on memory order, so the
+layout cannot change a result (the tests pin the same bytes for C-ordered,
+Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -43,7 +39,8 @@ import numpy as np
 from . import rng
 from .counts import is_count, is_uint64
 from .problems import Problem
-from .schemes import NoConvergence, SchemeConfig, iter_paths, level_set, run_paths
+from .schemes import (NoConvergence, NonFiniteResidual, SchemeConfig, iter_paths, level_set,
+                      run_paths)
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -139,43 +136,43 @@ class RichardsonPoint:
     stderr: float
 
 
-def _level_increments(fine: np.ndarray, n_steps: int, *,
-                      in_place: bool = False) -> np.ndarray:
-    """The increments of the ``n_steps``-step level, summed from step-major ``fine``.
-
-    With m = fine steps per coarse step, m = 1 returns ``fine`` itself.
-    Otherwise coarse step i is the sum of fine columns i*m .. i*m + m - 1,
-    added in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
-    on C-ordered rows, so every increment keeps the bits of the path-major
-    reshape-sum (see :func:`_pairwise_sum`).  Each coarse column is summed on
-    its own, into a new Fortran-ordered array, or with ``in_place`` into the
-    contiguous leading columns ``fine[:, :n_steps]``, whose view is returned;
-    the rest of ``fine`` is then spent.  In place, column i >= 1 lies left of
-    its sources, in a group already summed, and column 0 is its own first
-    term, so no scratch is needed: a level's working memory is at most
-    eight columns, whatever the batch.
+class _Level:
+    """Level ``n_steps`` of a step-major fine draw, on -dW with ``negate``, read a
+    step at a time: ``level[:, k]`` sums fine columns k*m .. k*m + m - 1 into one
+    kept column in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
+    on C-ordered rows (:func:`_pairwise_sum`), adds +0.0 as numpy's sum starts
+    from +0.0, then applies the sign.  At m = 1 it is the draw's own column, or
+    its negation.  The draw is never written; each read overwrites the last.
     """
-    rows, n_fine = fine.shape
-    m = n_fine // n_steps
-    if m == 1:
-        return fine
-    out = fine[:, :n_steps] if in_place else np.empty((rows, n_steps), order="F")
-    for i in range(n_steps):
-        _pairwise_sum(fine[:, i * m:(i + 1) * m], out[:, i])
-    # numpy's sum starts from +0.0, so a sum of -0.0 terms is +0.0
-    out += 0.0
-    return out
+
+    def __init__(self, fine: np.ndarray, n_steps: int, negate: bool):
+        rows, n_fine = fine.shape
+        self.shape = (rows, n_steps)
+        self.size = rows * n_steps
+        self._fine, self._m, self._negate = fine, n_fine // n_steps, negate
+        self._col = np.empty(rows)
+
+    def __getitem__(self, index) -> np.ndarray:
+        _, k = index  # (slice(None), k), the one read iter_paths makes
+        fine, m, col = self._fine, self._m, self._col
+        if m == 1:
+            return np.negative(fine[:, k], out=col) if self._negate else fine[:, k]
+        _pairwise_sum(fine[:, k * m:(k + 1) * m], col)
+        col += 0.0
+        if self._negate:
+            np.negative(col, out=col)
+        return col
 
 
 def _pairwise_sum(cols: np.ndarray, out: np.ndarray):
-    """Into ``out``, the sum of the count columns of ``cols``, term k ``cols[:, k]``.
+    """Into ``out``, the sum of the count >= 2 columns of ``cols``, term k ``cols[:, k]``.
 
     The order is numpy's pairwise summation: a running sum below 8 terms; up
     to 128 terms, eight partial sums r_j = a_j + a_{j+8} + ... combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the count mod 8
     leftover terms in order; above 128, the sums of the halves
     ``cols[:, :half]`` and ``cols[:, half:]``, split at count // 2 rounded
-    down to a multiple of 8.
+    down to a multiple of 8.  No term is copied: each first add reads it.
     """
     count = cols.shape[1]
     if count > 128:
@@ -186,44 +183,43 @@ def _pairwise_sum(cols: np.ndarray, out: np.ndarray):
         out += rest
         return
     if count < 8:
-        np.copyto(out, cols[:, 0])
-        for k in range(1, count):
+        np.add(cols[:, 0], cols[:, 1], out=out)
+        for k in range(2, count):
             out += cols[:, k]
         return
-    r = [out] + [np.empty_like(out) for _ in range(7)]
-    for j in range(8):
-        np.copyto(r[j], cols[:, j])
+    # r_j is the view of its first term until an add writes it to its own column
+    r = [cols[:, j] for j in range(8)]
+    own = [out] + [np.empty_like(out) for _ in range(7)]
     tail = count - count % 8
     for i in range(8, tail, 8):
         for j in range(8):
-            r[j] += cols[:, i + j]
-    r[0] += r[1]
-    r[2] += r[3]
-    r[4] += r[5]
-    r[6] += r[7]
-    r[0] += r[2]
-    r[4] += r[6]
-    r[0] += r[4]
+            r[j] = np.add(r[j], cols[:, i + j], out=own[j])
+    for j in (0, 2, 4, 6):
+        np.add(r[j], r[j + 1], out=own[j])
+    own[0] += own[2]
+    own[4] += own[6]
+    out += own[4]
     for k in range(tail, count):
         out += cols[:, k]
 
 
-def _first_non_finite_state(p: Problem, cfg: SchemeConfig, incs: np.ndarray,
+def _first_non_finite_state(p: Problem, cfg: SchemeConfig, fine: np.ndarray,
                             row: int, antithetic: bool) -> str:
     """Where path ``row`` of a batch's level first has a state that is not finite.
 
-    The whole batch's level increments ``incs`` are stepped again, on +dW,
-    then on -dW when ``antithetic`` (negating ``incs`` in place): the
-    fixed-point iteration count depends on the batch, so only the whole
-    batch gives the states of the run, bit for bit.
+    The whole batch's level is stepped again from its fine draw ``fine``, on
+    +dW, then on -dW when ``antithetic``: the fixed-point iteration count
+    depends on the batch, so only the whole batch gives the states of the
+    run, bit for bit.  A NaN solver residual ends the replay at its step.
     """
     for sign in ("+", "-") if antithetic else ("+",):
-        if sign == "-":
-            np.negative(incs, out=incs)
-        for k, x in enumerate(iter_paths(p, cfg, incs)):
-            if not np.isfinite(x[row]):
-                where = f" on {sign}dW" if antithetic else ""
-                return f"its state{where} is first {float(x[row])!r} at step {k}"
+        where = f" on {sign}dW" if antithetic else ""
+        try:
+            for k, x in enumerate(iter_paths(p, cfg, _Level(fine, cfg.n_steps, sign == "-"))):
+                if not np.isfinite(x[row]):
+                    return f"its state{where} is first {float(x[row])!r} at step {k}"
+        except NonFiniteResidual as err:
+            return f"its state{where} is finite before step {err.step_index}"
     return "its state is finite at every step" + (" of both passes" if antithetic else "")
 
 
@@ -283,31 +279,24 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         hi = min(lo + _BATCH, n_units)
         idx = np.arange(lo, hi, dtype=np.uint64)
         fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
-        vals = [None] * len(configs)
-        # Levels ascend and divide finest_n.  A level that is the fine draw
-        # itself is stepped before the largest coarse level, which goes last,
-        # summed into the draw's own leading columns, negated if the draw is:
-        # 0.5 * v + 0.5 * v' does not depend on which sign runs first.  Each
-        # payoff is halved before the sum, so a pair of finite payoffs above
-        # half the largest float keeps a finite mean.
-        order = list(range(len(configs)))
-        if configs[-1].n_steps == finest_n and len(order) > 1:
-            order[-2:] = order[-1], order[-2]
-        for j in order:
-            cfg = configs[j]
-            incs = _level_increments(fine, cfg.n_steps, in_place=j == order[-1])
+        vals = []
+        # Every level and sign steps from the intact draw.  Each payoff is
+        # halved before the sum, so a pair of finite payoffs above half the
+        # largest float keeps a finite mean.
+        for cfg in configs:
             try:
-                v = payoffs(cfg, incs)
+                v = payoffs(cfg, _Level(fine, cfg.n_steps, False))
                 if mc.antithetic:
-                    np.negative(incs, out=incs)
-                    v = 0.5 * v + 0.5 * payoffs(cfg, incs)
+                    v = 0.5 * v + 0.5 * payoffs(cfg, _Level(fine, cfg.n_steps, True))
             except NoConvergence as err:
-                path = lo + (err.path_index or 0)
-                raise NoConvergence(
-                    f"level {cfg.n_steps}, path {path}: {err}",
-                    step_index=err.step_index, path_index=path) from err
-            del incs  # at most one coarse level alive at a time
-            vals[j] = v
+                row = err.path_index or 0
+                where = ""
+                if isinstance(err, NonFiniteResidual):
+                    where = "; " + _first_non_finite_state(p, cfg, fine, row, mc.antithetic)
+                raise type(err)(
+                    f"level {cfg.n_steps}, path {lo + row}: {err}{where}",
+                    step_index=err.step_index, path_index=lo + row) from err
+            vals.append(v)
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]
         else:
@@ -317,10 +306,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             if not finite.all():
                 i = int(np.argmin(finite))  # the batch's first non-finite payoff
                 what = "the antithetic pair's mean payoff" if mc.antithetic else "the payoff"
-                # the level loop spent the draw in place; the replay draws it again
-                fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
-                where = _first_non_finite_state(
-                    p, cfg, _level_increments(fine, cfg.n_steps), i, mc.antithetic)
+                where = _first_non_finite_state(p, cfg, fine, i, mc.antithetic)
                 raise FloatingPointError(
                     f"level {cfg.n_steps}, path {lo + i}: {what} is {float(v[i])!r}; {where}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])

@@ -22,7 +22,8 @@ The output is step-major (Fortran order): each step's draws for all paths
 are one contiguous column, the layout the steppers read.  Each chunk is
 written path by path into one C-ordered buffer (about 512 KB, still in
 L2 cache) and copied into its rows of the output; ``tobytes()`` reads the
-same path-major bytes as before.
+same path-major bytes as before.  The four counter arrays, which the rounds
+turn into their outputs, are made once a call and refilled for every chunk.
 """
 
 from __future__ import annotations
@@ -127,16 +128,14 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
     scale = np.sqrt(dt)
     out = np.empty((paths.size, n_steps), order="F")
     buf = np.empty((min(rows, paths.size), n_steps))
+    counters = [np.empty((buf.shape[0], n_blocks), dtype=np.uint64) for _ in range(4)]
     for lo in range(0, paths.size, rows):
         chunk = paths[lo:lo + rows, None]
-        shape = (chunk.shape[0], n_blocks)
-        c0 = np.empty(shape, dtype=np.uint64)
+        c0, c1, c2, c3 = (c[:chunk.shape[0]] for c in counters)
         c0[:] = blocks
-        c1 = np.empty(shape, dtype=np.uint64)
-        c1[:] = chunk & _MASK32
-        c2 = np.empty(shape, dtype=np.uint64)
-        c2[:] = chunk >> _S32
-        c3 = np.zeros(shape, dtype=np.uint64)
+        np.bitwise_and(chunk, _MASK32, out=c1)
+        np.right_shift(chunk, _S32, out=c2)
+        c3.fill(0)
         y0, y1, y2, y3 = _philox_rounds(c0, c1, c2, c3, k0, k1)
         # Pack pairs of 32-bit outputs into 64-bit words and keep their top
         # 53 bits: block j covers steps 2j (words y0:y1) and 2j+1 (y2:y3).

@@ -48,6 +48,10 @@ class NoConvergence(RuntimeError):
         self.path_index = path_index
 
 
+class NonFiniteResidual(NoConvergence, FloatingPointError):
+    """The implicit solver cannot converge: its residual is NaN, off the floats."""
+
+
 class InvalidSolver(ValueError):
     """The requested solver does not apply to this problem."""
 
@@ -166,7 +170,8 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
     x_next solves y = xi + h b(y) with xi = x + sigma(x) dw, to residual
     |y - xi - h b(y)| <= cfg.fp_tol.  The fixed-point iteration starts from
     the explicit predictor xi unless ``start`` overrides it (the limit is the
-    same unique fixed point either way).
+    same unique fixed point either way).  A NaN residual raises
+    :class:`NonFiniteResidual` at once, tested only after the convergence test.
     """
     _guard_step(p, h)
     xi = x + p.sigma_jet(x, order=0).value() * dw
@@ -182,8 +187,11 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         for it in range(cfg.fp_max_iter):
             b = p.b_jet(y, order=1)
             res = y - h * b.value() - xi
-            if np.maximum.reduce(np.abs(res), axis=None) <= cfg.fp_tol:
+            worst = np.maximum.reduce(np.abs(res), axis=None)
+            if worst <= cfg.fp_tol:
                 return y, it
+            if np.isnan(worst):
+                raise NonFiniteResidual("newton residual is nan", path_index=_worst_index(res))
             y = y - res / resolvent_den(b.deriv(1), h)
         raise NoConvergence(
             f"newton solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
@@ -201,8 +209,11 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         y_next = xi + h * by
         by_next = p.b_jet(y_next, order=0).value()
         db = np.abs(by_next - by)
-        if h * np.maximum.reduce(db, axis=None) <= cfg.fp_tol:
+        worst = h * np.maximum.reduce(db, axis=None)
+        if worst <= cfg.fp_tol:
             return y_next, it + 1
+        if np.isnan(worst):
+            raise NonFiniteResidual("fixed-point residual is nan", path_index=_worst_index(db))
         y, by = y_next, by_next
     raise NoConvergence(
         f"fixed-point solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
@@ -213,12 +224,13 @@ def iter_paths(p: Problem, cfg: SchemeConfig, increments):
     """Advance a whole ensemble, yielding its (n_paths,) state after each of the N steps.
 
     Rows of ``increments`` are paths; the shape check and the step-size guard
-    run at the call.  Step k reads column k, contiguous when ``increments`` is
-    step-major (Fortran order) as :mod:`weakerr.montecarlo` hands its levels
-    over; any memory order gives the same bytes.
+    run at the call.  Step k reads ``increments[:, k]`` as it runs; any memory
+    order gives the same bytes.  Arrays and sequences are read as floats, and
+    any other object with a ``shape`` as it is (a :mod:`weakerr.montecarlo` level).
     """
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 2 or increments.shape[1] != cfg.n_steps:
+    if isinstance(increments, np.ndarray) or not hasattr(increments, "shape"):
+        increments = np.asarray(increments, dtype=float)
+    if len(increments.shape) != 2 or increments.shape[1] != cfg.n_steps:
         raise ValueError(f"expected (n_paths, {cfg.n_steps}) increments, "
                          f"got shape {increments.shape}")
     h = check_step_size(p, cfg)
@@ -231,8 +243,8 @@ def iter_paths(p: Problem, cfg: SchemeConfig, increments):
                 else:
                     x, _ = implicit_step(p, cfg, h, x, increments[:, k])
             except NoConvergence as err:
-                raise NoConvergence(f"step {k}: {err}", step_index=k,
-                                    path_index=err.path_index) from err
+                raise type(err)(f"step {k}: {err}", step_index=k,
+                                path_index=err.path_index) from err
             yield x
     return steps(np.full(increments.shape[0], p.x0))
 

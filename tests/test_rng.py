@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestGaussianIncrements:
         a = normals(9, [4], 16)[0]
         b = rng.gaussian_increments(9, [4], 16, 0.25)[0]
         assert np.allclose(b, 0.5 * a, rtol=0, atol=0)
+
+    def test_working_memory_is_six_word_arrays_and_the_chunk_buffer(self):
+        # One warm 16384 x 512 draw: beside its output, one chunk's four
+        # counters (refilled for every chunk), the rounds' two products and
+        # the chunk buffer (two word arrays), about 8.5 word arrays in all.
+        # Counters made anew for each chunk, while the last chunk's outputs
+        # are still bound, read about 12.5.
+        paths = np.arange(1 << 14, dtype=np.uint64)
+        rng.gaussian_increments(1, paths[:1], 512, 1 / 512)  # imports scipy.special
+        word_bytes = rng._CHUNK_BLOCKS * 8  # 128 rows x 256 blocks a chunk
+        tracemalloc.start()
+        try:
+            out = rng.gaussian_increments(1, paths, 512, 1 / 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = (peak - out.nbytes) / word_bytes
+        assert extra <= 9, f"{extra:.2f} word arrays beside the output"
 
 
 # Stream pins, taken before the generator was chunked: SHA-256 of the

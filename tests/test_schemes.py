@@ -118,6 +118,31 @@ class TestImplicitStep:
             we.implicit_step(problems["tanh"], cfg, 0.25, 0.9, 0.5)
         assert exc.value.path_index is None  # a scalar state has no worst path
 
+    @pytest.mark.parametrize("solver", ["fixed_point", "newton"])
+    def test_nan_residual_stops_the_solver_at_once(self, problems, solver):
+        # a NaN state can never converge: the solver names its first lane
+        # after one drift evaluation past the start, not after fp_max_iter
+        p = problems["tanh"]
+        calls = []
+
+        def b_jet(x, order=4):
+            calls.append(order)
+            return p.b_jet(x, order)
+
+        counted = dataclasses.replace(p, b_jet=b_jet)
+        x = np.array([0.1, 0.2, np.nan, 0.4, np.nan])
+        with pytest.raises(FloatingPointError) as exc:
+            we.implicit_step(counted, SchemeConfig(n_steps=4, solver=solver), 0.25, x,
+                             np.zeros(5))
+        name = "fixed-point" if solver == "fixed_point" else "newton"
+        assert str(exc.value) == f"{name} residual is nan"
+        assert exc.value.path_index == 2
+        assert len(calls) == (2 if solver == "fixed_point" else 1)
+        with pytest.raises(FloatingPointError) as run:
+            we.run_paths(p, SchemeConfig(n_steps=4, solver=solver), np.full((2, 4), np.nan))
+        assert (str(run.value), run.value.step_index, run.value.path_index) == \
+            (f"step 0: {name} residual is nan", 0, 0)
+
     def test_closed_form_rejects_nonaffine(self, problems):
         cfg = SchemeConfig(n_steps=10, solver="closed_form_affine")
         with pytest.raises(we.InvalidSolver):
