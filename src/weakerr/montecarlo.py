@@ -8,19 +8,26 @@ would.  Streams are counter-based (see :mod:`weakerr.rng`): a report is a
 bitwise-deterministic function of (problem, McConfig, scheme settings),
 independent of batch execution order or worker count.
 
-Each batch draws its fine increments once, step-major (Fortran order), from
-:func:`weakerr.rng.gaussian_increments`, and holds that draw and one
-column of the level it steps.  Every level and sign, in ascending level
-order, reaches :func:`run_paths` as a reader over the intact draw
-(:class:`_Level`): step k reads the draw's own column when the level is the
-draw, and otherwise the sum of its group of m fine columns, formed as the
-step runs into one kept column, in the order of numpy's path-major
-``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+Each batch draws its fine increments step-major (Fortran order) from
+:func:`weakerr.rng.gaussian_increments` in windows of W fine steps,
+W = min(finest_n, max(finest_n // coarsest level, 64)): a whole number of
+steps of every level.  Every level and sign, in ascending level order (+dW
+before -dW), continues its paths through one window; then the window is
+dropped and the next one drawn.  So a batch holds one window, one state per
+level and sign, and one column of the level it steps, not its whole draw.  A window reaches :func:`run_paths` as a reader over the intact
+window (:class:`_Level`): step k reads the window's own column when the
+level is the draw, and otherwise the sum of its group of m fine columns,
+formed as the step runs into one kept column, in the order of numpy's
+path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
 :func:`_pairwise_sum`, so every coarse increment keeps its bits; on -dW the
-column is negated.  The draw is never written, so a replay reads it as the
-run did.  Elementwise arithmetic does not depend on memory order, so the
-layout cannot change a result (the tests pin the same bytes for C-ordered,
-Fortran-ordered and strided increments).
+column is negated.  Each Philox word depends on (seed, path, step) alone and
+each fixed-point step still iterates to the batch's worst path, so the
+windows give the bits of one whole draw.  A payoff is taken when its level
+and sign end.  A failure names the first failed level and sign, in that
+order; a replay of a path redraws its batch whole.  Elementwise arithmetic
+does not depend on memory order, so the layout cannot change a result (the
+tests pin the same bytes for C-ordered, Fortran-ordered and strided
+increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -46,6 +53,10 @@ SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
 
 _BATCH = 1 << 14
+# A batch draws its fine grid this many steps at a time, or a whole step of
+# its coarsest level when that is longer, and every level steps through one
+# window before the next is drawn.
+_WINDOW_STEPS = 64
 # Surrogate references need finest_n >= SURROGATE_MARGIN * the largest
 # level, so that the fine grid is well separated from the levels it judges.
 SURROGATE_MARGIN = 8
@@ -137,10 +148,10 @@ class RichardsonPoint:
 
 
 class _Level:
-    """Level ``n_steps`` of a step-major fine draw, on -dW with ``negate``, read a
-    step at a time: ``level[:, k]`` sums fine columns k*m .. k*m + m - 1 into one
-    kept column in the order of numpy's ``fine.reshape(rows, n_steps, m).sum(axis=2)``
-    on C-ordered rows (:func:`_pairwise_sum`), adds +0.0 as numpy's sum starts
+    """Level ``n_steps`` of a step-major fine draw or window, on -dW with
+    ``negate``, read a step at a time: ``level[:, k]`` sums fine columns
+    k*m .. k*m + m - 1 into one kept column in the order of numpy's
+    ``fine.reshape(rows, n_steps, m).sum(axis=2)`` on C-ordered rows (:func:`_pairwise_sum`), adds +0.0 as numpy's sum starts
     from +0.0, then applies the sign.  At m = 1 it is the draw's own column, or
     its negation.  The draw is never written; each read overwrites the last.
     """
@@ -271,44 +282,71 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
     h_fine = p.horizon / finest_n
     n_report = len(levels)
 
-    def payoffs(cfg: SchemeConfig, incs: np.ndarray) -> np.ndarray:
-        return np.asarray(p.f(run_paths(p, cfg, incs)), dtype=float)
+    window = min(finest_n, max(finest_n // levels[0], _WINDOW_STEPS))
+    signs = (False, True) if mc.antithetic else (False,)
+    runs = [(j, cfg, negate) for j, cfg in enumerate(configs) for negate in signs]
 
     def run_batch(batch_index: int):
         lo = batch_index * _BATCH
         hi = min(lo + _BATCH, n_units)
         idx = np.arange(lo, hi, dtype=np.uint64)
-        fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
-        vals = []
-        # Every level and sign steps from the intact draw.  Each payoff is
-        # halved before the sum, so a pair of finite payoffs above half the
-        # largest float keeps a finite mean.
-        for cfg in configs:
-            try:
-                v = payoffs(cfg, _Level(fine, cfg.n_steps, False))
-                if mc.antithetic:
-                    v = 0.5 * v + 0.5 * payoffs(cfg, _Level(fine, cfg.n_steps, True))
-            except NoConvergence as err:
-                row = err.path_index or 0
-                where = ""
-                if isinstance(err, NonFiniteResidual):
-                    where = "; " + _first_non_finite_state(p, cfg, fine, row, mc.antithetic)
-                raise type(err)(
-                    f"level {cfg.n_steps}, path {lo + row}: {err}{where}",
-                    step_index=err.step_index, path_index=lo + row) from err
-            vals.append(v)
+        # Each (level, sign) keeps its state from window to window and has its
+        # payoff once it ends.  A failed run stops, and so does every run after
+        # it in (level, sign) order: only runs[:live] step on, and the first to
+        # fail is the one named.
+        states, vals, bad_states = {}, [None] * len(configs), {}
+        live, failure = len(runs), None
+        for w0 in range(0, finest_n, window):
+            fine = rng.gaussian_increments(mc.seed, idx, window, h_fine, first_step=w0)
+            for i, (j, cfg, negate) in enumerate(runs[:live]):
+                m = finest_n // cfg.n_steps
+                k0, k1 = w0 // m, (w0 + window) // m
+                x = states.pop(i) if k0 else np.full(hi - lo, p.x0)
+                try:
+                    x = run_paths(p, cfg, _Level(fine, k1 - k0, negate), start=(k0, x))
+                except NoConvergence as err:
+                    live, failure = i, err
+                    break
+                if k1 < cfg.n_steps:
+                    states[i] = x
+                    continue
+                finite = np.isfinite(x)
+                if not finite.all():
+                    row = int(np.argmin(finite))  # this run's first non-finite state
+                    bad_states.setdefault(j, (negate, row, float(x[row])))
+                # Each payoff is halved before the sum, so a pair of finite
+                # payoffs above half the largest float keeps a finite mean.
+                v = np.asarray(p.f(x), dtype=float)
+                vals[j] = 0.5 * vals[j] + 0.5 * v if negate else v
+            del fine  # the next window is drawn without this one alive
+
+        def where(cfg, row):
+            """The replay's account of path ``row``, from the batch's whole draw."""
+            fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
+            return _first_non_finite_state(p, cfg, fine, row, mc.antithetic)
+
+        if failure is not None:
+            cfg, row = runs[live][1], failure.path_index or 0
+            extra = "; " + where(cfg, row) if isinstance(failure, NonFiniteResidual) else ""
+            raise type(failure)(f"level {cfg.n_steps}, path {lo + row}: {failure}{extra}",
+                                step_index=failure.step_index,
+                                path_index=lo + row) from failure
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]
         else:
             ref = np.full(hi - lo, p.exact_terminal())
-        for cfg, v in zip(configs, vals):
-            finite = np.isfinite(v)
+        for j, cfg in enumerate(configs):
+            if j in bad_states:
+                negate, i, x = bad_states[j]
+                sign = (" on -dW" if negate else " on +dW") if mc.antithetic else ""
+                raise FloatingPointError(f"level {cfg.n_steps}, path {lo + i}: its terminal "
+                                         f"state{sign} is {x!r}; {where(cfg, i)}")
+            finite = np.isfinite(vals[j])
             if not finite.all():
                 i = int(np.argmin(finite))  # the batch's first non-finite payoff
                 what = "the antithetic pair's mean payoff" if mc.antithetic else "the payoff"
-                where = _first_non_finite_state(p, cfg, fine, i, mc.antithetic)
-                raise FloatingPointError(
-                    f"level {cfg.n_steps}, path {lo + i}: {what} is {float(v[i])!r}; {where}")
+                raise FloatingPointError(f"level {cfg.n_steps}, path {lo + i}: {what} is "
+                                         f"{float(vals[j][i])!r}; {where(cfg, i)}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])
         return err_rows.sum(axis=1), err_rows @ err_rows.T, float(ref.sum())
 

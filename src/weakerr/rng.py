@@ -12,7 +12,10 @@ first draw rather than with this module, so that a process that never draws
 
 Layout: the 128-bit Philox counter holds (block index within the path, low
 and high words of the path index, 0); the 64-bit key is the seed.  Each
-128-bit output block yields two 64-bit words, i.e. two normal draws.
+128-bit output block yields two 64-bit words, i.e. two normal draws, so a
+window of steps that starts at an even step is drawn on its own with the
+bytes of the same columns of the whole draw: a Monte Carlo batch draws its
+fine grid that way, one window at a time, and never holds all of it.
 Normals are generated in chunks of rows of 2^15 Philox blocks, sized to the
 L2 cache and large enough that threads drawing side by side seldom wait for
 the GIL between numpy calls; every draw depends on its own counter alone, so
@@ -104,12 +107,16 @@ def _check_paths(path_indices) -> np.ndarray:
     return np.atleast_1d(paths.astype(np.uint64))
 
 
-def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.ndarray:
+def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float,
+                        first_step: int = 0) -> np.ndarray:
     """Brownian increments N(0, dt), shape (n_paths, n_steps), step-major; dt = 1.0 gives N(0, 1).
 
-    Each chunk of rows runs the whole chain -- counters, Philox rounds, 53-bit
-    uniforms, inverse CDF, times sqrt(dt) -- into a C-ordered chunk buffer,
-    which is then copied into its rows of the output.
+    Column k is step ``first_step + k`` of each path: a window of a longer
+    draw, byte for byte its columns.  ``first_step`` must be even, since a
+    Philox block holds two steps.  Each chunk of rows runs the whole chain --
+    counters, Philox rounds, 53-bit uniforms, inverse CDF, times sqrt(dt) --
+    into a C-ordered chunk buffer, which is then copied into its rows of the
+    output.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -117,13 +124,15 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float) -> np.
         raise ValueError("n_steps must be a positive integer")
     if not is_uint64(seed):
         raise ValueError("seed must be an integer that fits in 64 unsigned bits")
+    if not is_count(first_step, 0) or first_step % 2:
+        raise ValueError(f"first_step must be an even nonnegative integer, got {first_step!r}")
     paths = _check_paths(path_indices)
     # Once per call: loading scipy.special takes about 0.25 s and 20 MB of
     # resident memory, and only a draw needs it.
     from scipy.special import ndtri
     k0, k1 = int(seed) & 0xFFFFFFFF, int(seed) >> 32
     n_blocks = (n_steps + 1) // 2
-    blocks = np.arange(n_blocks, dtype=np.uint64)
+    blocks = np.arange(first_step // 2, first_step // 2 + n_blocks, dtype=np.uint64)
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
     scale = np.sqrt(dt)
     out = np.empty((paths.size, n_steps), order="F")

@@ -191,11 +191,12 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
             if worst <= cfg.fp_tol:
                 return y, it
             if np.isnan(worst):
-                raise NonFiniteResidual("newton residual is nan", path_index=_worst_index(res))
+                raise NonFiniteResidual("newton residual is nan",
+                                        path_index=_worst_index(np.abs(res)))
             y = y - res / resolvent_den(b.deriv(1), h)
         raise NoConvergence(
             f"newton solver did not reach {cfg.fp_tol} in {cfg.fp_max_iter} iterations",
-            path_index=_worst_index(res))
+            path_index=_worst_index(np.abs(res)))
 
     # fixed_point: y_{i+1} = xi + h b(y_i); the residual of y_{i+1} equals
     # h |b(y_i) - b(y_{i+1})|, so one drift evaluation per iteration suffices.
@@ -220,38 +221,50 @@ def implicit_step(p: Problem, cfg: SchemeConfig, h: float, x, dw, start=None):
         path_index=_worst_index(h * db))
 
 
-def iter_paths(p: Problem, cfg: SchemeConfig, increments):
-    """Advance a whole ensemble, yielding its (n_paths,) state after each of the N steps.
+def iter_paths(p: Problem, cfg: SchemeConfig, increments, start=None):
+    """Advance a whole ensemble, yielding its (n_paths,) state after each of its steps.
 
     Rows of ``increments`` are paths; the shape check and the step-size guard
-    run at the call.  Step k reads ``increments[:, k]`` as it runs; any memory
-    order gives the same bytes.  Arrays and sequences are read as floats, and
-    any other object with a ``shape`` as it is (a :mod:`weakerr.montecarlo` level).
+    run at the call.  Without ``start`` the paths run all N steps from x0, and
+    step k reads ``increments[:, k]`` as it runs; any memory order gives the
+    same bytes.  ``start=(k0, x)`` continues from the states ``x`` after step
+    k0: column j is then step k0 + j, the run must end at or before step N,
+    and errors name the step k0 + j, so a run split anywhere gives the bytes
+    of the whole.  Arrays and sequences are read as floats, and any other
+    object with a ``shape`` as it is (a :mod:`weakerr.montecarlo` level).
     """
     if isinstance(increments, np.ndarray) or not hasattr(increments, "shape"):
         increments = np.asarray(increments, dtype=float)
-    if len(increments.shape) != 2 or increments.shape[1] != cfg.n_steps:
-        raise ValueError(f"expected (n_paths, {cfg.n_steps}) increments, "
-                         f"got shape {increments.shape}")
+    shape = increments.shape
+    if start is None:
+        k0, x = 0, None
+        if len(shape) != 2 or shape[1] != cfg.n_steps:
+            raise ValueError(f"expected (n_paths, {cfg.n_steps}) increments, got shape {shape}")
+    else:
+        k0, x = start
+        if (len(shape) != 2 or not is_count(k0, 0) or not 0 < shape[1] <= cfg.n_steps - k0
+                or np.shape(x) != shape[:1]):
+            raise ValueError(f"increments of shape {shape} cannot continue {np.shape(x)} "
+                             f"states after step {k0!r}: the run ends at step {cfg.n_steps}")
     h = check_step_size(p, cfg)
 
     def steps(x):
-        for k in range(cfg.n_steps):
+        for j in range(shape[1]):
             try:
                 if cfg.kind == "explicit":
-                    x = explicit_step(p, h, x, increments[:, k])
+                    x = explicit_step(p, h, x, increments[:, j])
                 else:
-                    x, _ = implicit_step(p, cfg, h, x, increments[:, k])
+                    x, _ = implicit_step(p, cfg, h, x, increments[:, j])
             except NoConvergence as err:
-                raise type(err)(f"step {k}: {err}", step_index=k,
+                raise type(err)(f"step {k0 + j}: {err}", step_index=k0 + j,
                                 path_index=err.path_index) from err
             yield x
-    return steps(np.full(increments.shape[0], p.x0))
+    return steps(np.full(shape[0], p.x0) if start is None else x)
 
 
-def run_paths(p: Problem, cfg: SchemeConfig, increments):
-    """The terminal states of :func:`iter_paths`, one per row of ``increments``."""
-    for x in iter_paths(p, cfg, increments):
+def run_paths(p: Problem, cfg: SchemeConfig, increments, start=None):
+    """The last states of :func:`iter_paths`, one per row of ``increments``."""
+    for x in iter_paths(p, cfg, increments, start):
         pass
     return x
 

@@ -57,9 +57,10 @@ def test_traced_expansion_check_reaches_the_oracle(bench):
 
 
 def test_traced_mc_counts_batches_normals_and_path_steps(bench, monkeypatch):
-    # one generator call per batch, the whole fine grid of every unit, and
-    # every simulated level through montecarlo.run_paths; a refactor that
-    # drew per chunk or stepped around run_paths would read otherwise here
+    # one generator call per 64-step window of each batch, the whole fine
+    # grid of every unit, and every simulated level through
+    # montecarlo.run_paths; a refactor that drew per chunk or stepped around
+    # run_paths would read otherwise here
     layers, spans, _ = bench
     monkeypatch.setattr(weakerr.montecarlo, "_BATCH", 100)
     p = weakerr.get_problem("tanh")
@@ -69,8 +70,9 @@ def test_traced_mc_counts_batches_normals_and_path_steps(bench, monkeypatch):
         weakerr.montecarlo.estimate_weak_error(p, mc, "implicit")
     metrics = layers.job_metrics(tracer, 0.0)
     sim_levels = (8, 16, 64, 128)  # the surrogate adds finest_n / 2 and finest_n
-    assert [sp.name for sp in tracer.spans].count("rng.gaussian_increments") == 3
-    assert metrics["montecarlo.batches"] == 3
+    batches, windows = 3, 128 // 64
+    assert [sp.name for sp in tracer.spans].count("rng.gaussian_increments") == batches * windows
+    assert metrics["montecarlo.batches"] == batches * windows
     assert metrics["rng.normals"] == 250 * 128
     assert metrics["schemes.path_steps"] == 500 * sum(sim_levels)
 

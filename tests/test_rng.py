@@ -268,6 +268,39 @@ class TestStreamPins:
         assert dw.tobytes() == b""
 
 
+class TestWindows:
+    """A draw of ``width`` steps from an even ``first_step`` is the columns
+    first_step .. first_step + width - 1 of the whole draw, byte for byte."""
+
+    @pytest.mark.parametrize("chunk", [3, 2**15])
+    @pytest.mark.parametrize("n_steps", [7, 12, 33])
+    def test_every_even_window_is_the_whole_draws_columns(self, monkeypatch, chunk, n_steps):
+        # odd n_steps: the last window of one step drops its block's second word
+        monkeypatch.setattr(rng, "_CHUNK_BLOCKS", chunk)
+        paths = _pin_paths(9)
+        whole = rng.gaussian_increments(PIN_SEED, paths, n_steps, PIN_DT)
+        for first in range(0, n_steps, 2):
+            for width in range(1, n_steps - first + 1):
+                window = rng.gaussian_increments(PIN_SEED, paths, width, PIN_DT,
+                                                 first_step=first)
+                assert window.flags.f_contiguous
+                assert window.tobytes() == whole[:, first:first + width].tobytes(), \
+                    (first, width)
+
+    def test_windows_of_the_pinned_stream(self):
+        # 513 steps in windows of 64 (the last of one step) rebuild the pin
+        paths = _pin_paths(62)
+        windows = [rng.gaussian_increments(PIN_SEED, paths, min(64, 513 - k), PIN_DT,
+                                           first_step=k) for k in range(0, 513, 64)]
+        digest = hashlib.sha256(np.hstack(windows).tobytes()).hexdigest()
+        assert digest == STREAM_PINS[513, 62][1]
+
+    @pytest.mark.parametrize("first_step", [1, 7, -2, 2.0, None])
+    def test_first_step_must_be_even(self, first_step):
+        with pytest.raises(ValueError, match="first_step must be an even nonnegative integer"):
+            rng.gaussian_increments(PIN_SEED, [0], 4, PIN_DT, first_step=first_step)
+
+
 @pytest.mark.parametrize("n_steps, rows", [(64, 16384), (513, 300)])
 def test_concurrent_draws_keep_their_bytes(n_steps, rows):
     # Two threads enter the generator together; each must get the bytes a

@@ -118,6 +118,18 @@ class TestImplicitStep:
             we.implicit_step(problems["tanh"], cfg, 0.25, 0.9, 0.5)
         assert exc.value.path_index is None  # a scalar state has no worst path
 
+    def test_newton_names_the_largest_absolute_residual(self, problems):
+        # Newton's first residual is y - h b(y) - xi = -h tanh(xi) at y = xi:
+        # largest signed at path 1, largest in magnitude at path 2
+        p = problems["tanh"]
+        dw = np.array([0.1, -0.9, 0.3])
+        cfg = SchemeConfig(n_steps=2, solver="newton", fp_tol=1e-16, fp_max_iter=1)
+        with pytest.raises(we.NoConvergence) as exc:
+            we.implicit_step(p, cfg, 0.5, np.full(3, p.x0), dw)
+        res = -0.5 * np.tanh(p.x0 + p.sigma_jet(p.x0, order=0).value() * dw)
+        assert (int(np.argmax(res)), int(np.argmax(np.abs(res)))) == (1, 2)
+        assert exc.value.path_index == 2
+
     @pytest.mark.parametrize("solver", ["fixed_point", "newton"])
     def test_nan_residual_stops_the_solver_at_once(self, problems, solver):
         # a NaN state can never converge: the solver names its first lane
@@ -278,6 +290,47 @@ class TestRunPath:
             we.iter_paths(problems["bm"], SchemeConfig(n_steps=4), np.zeros((1, 5)))
         with pytest.raises(we.StepSizeError):
             we.iter_paths(problems["tanh"], SchemeConfig(n_steps=1), [[0.1]])
+
+    SPLIT_RUNS = [("tanh", "implicit", "fixed_point"), ("tanh", "implicit", "newton"),
+                  ("ou", "implicit", "closed_form_affine"), ("tanh", "explicit", "fixed_point")]
+
+    @pytest.mark.parametrize("name, kind, solver", SPLIT_RUNS)
+    def test_a_run_split_anywhere_keeps_the_bytes_of_the_whole(self, problems, name, kind,
+                                                               solver):
+        # continued with start=(k0, x), at every split and in one-step pieces;
+        # the fixed-point count of each step is still the whole batch's
+        p = problems[name]
+        incs = we.rng.gaussian_increments(5, np.arange(300), 16, p.horizon / 16)
+        cfg = SchemeConfig(n_steps=16, kind=kind, solver=solver)
+        whole = we.run_paths(p, cfg, incs).tobytes()
+        x0 = np.full(300, p.x0)
+        for k0 in range(1, 16):
+            head = we.run_paths(p, cfg, incs[:, :k0], start=(0, x0))
+            assert we.run_paths(p, cfg, incs[:, k0:], start=(k0, head)).tobytes() == whole
+        x = x0
+        for k in range(16):
+            x = we.run_paths(p, cfg, incs[:, k:k + 1], start=(k, x))
+        assert x.tobytes() == whole
+
+    @pytest.mark.parametrize("k0, width, n_states", [
+        (6, 3, 2),    # runs past step 8
+        (8, 1, 2),    # starts at the end
+        (2, 0, 2),    # no step to take
+        (-2, 2, 2),   # before the start
+        (2.0, 2, 2),  # not a step number
+        (2, 2, 3),    # three states for two rows
+    ])
+    def test_a_continued_run_is_checked_at_the_call(self, problems, k0, width, n_states):
+        p, cfg = problems["ou"], SchemeConfig(n_steps=8)
+        with pytest.raises(ValueError, match="the run ends at step 8"):
+            we.iter_paths(p, cfg, np.zeros((2, width)), start=(k0, np.zeros(n_states)))
+        assert we.run_paths(p, cfg, np.zeros((2, 2)), start=(6, np.zeros(2))).shape == (2,)
+
+    def test_a_continued_run_names_the_step_of_the_whole_run(self, problems):
+        cfg = SchemeConfig(n_steps=4, fp_tol=1e-16, fp_max_iter=1)
+        with pytest.raises(we.NoConvergence) as exc:
+            we.run_paths(problems["tanh"], cfg, [[0.5, 0.5]], start=(2, np.array([0.4])))
+        assert exc.value.step_index == 2 and str(exc.value).startswith("step 2: ")
 
     def test_failure_reports_worst_path(self, problems):
         p = problems["tanh"]
