@@ -14,20 +14,21 @@ W = min(finest_n, max(finest_n // coarsest level, 64)): a whole number of
 steps of every level.  Every level and sign, in ascending level order (+dW
 before -dW), continues its paths through one window; then the window is
 dropped and the next one drawn.  So a batch holds one window, one state per
-level and sign, and one column of the level it steps, not its whole draw.  A window reaches :func:`run_paths` as a reader over the intact
-window (:class:`_Level`): step k reads the window's own column when the
-level is the draw, and otherwise the sum of its group of m fine columns,
-formed as the step runs into one kept column, in the order of numpy's
-path-major ``fine.reshape(rows, n, m).sum(axis=2)``, written out in
+level and sign, and one column of the level it steps, not its whole draw.
+A window reaches :func:`run_paths` as a reader over the intact window
+(:class:`_Level`): step k reads the window's own column when the level is
+the draw, and otherwise the sum of its group of m fine columns, formed as
+the step runs into one kept column, in the order of numpy's path-major
+``fine.reshape(rows, n, m).sum(axis=2)``, written out in
 :func:`_pairwise_sum`, so every coarse increment keeps its bits; on -dW the
 column is negated.  Each Philox word depends on (seed, path, step) alone and
 each fixed-point step still iterates to the batch's worst path, so the
-windows give the bits of one whole draw.  A payoff is taken when its level
-and sign end.  A failure names the first failed level and sign, in that
-order; a replay of a path redraws its batch whole.  Elementwise arithmetic
-does not depend on memory order, so the layout cannot change a result (the
-tests pin the same bytes for C-ordered, Fortran-ordered and strided
-increments).
+windows give the bits of one whole draw.  A level and sign takes its
+payoffs when it ends, after its states are checked for finiteness.  A
+failure names the first failed level and sign, in that order; a replay of a
+path draws its batch again whole.  Elementwise arithmetic does not depend
+on memory order, so the layout cannot change a result (the tests pin the
+same bytes for C-ordered, Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -151,9 +152,10 @@ class _Level:
     """Level ``n_steps`` of a step-major fine draw or window, on -dW with
     ``negate``, read a step at a time: ``level[:, k]`` sums fine columns
     k*m .. k*m + m - 1 into one kept column in the order of numpy's
-    ``fine.reshape(rows, n_steps, m).sum(axis=2)`` on C-ordered rows (:func:`_pairwise_sum`), adds +0.0 as numpy's sum starts
-    from +0.0, then applies the sign.  At m = 1 it is the draw's own column, or
-    its negation.  The draw is never written; each read overwrites the last.
+    ``fine.reshape(rows, n_steps, m).sum(axis=2)`` on C-ordered rows
+    (:func:`_pairwise_sum`), adds +0.0 as numpy's sum starts from +0.0, then
+    applies the sign.  At m = 1 it is the draw's own column, or its negation.
+    The draw is never written; each read overwrites the last.
     """
 
     def __init__(self, fine: np.ndarray, n_steps: int, negate: bool):
