@@ -24,11 +24,14 @@ the step runs into one kept column, in the order of numpy's path-major
 column is negated.  Each Philox word depends on (seed, path, step) alone and
 each fixed-point step still iterates to the batch's worst path, so the
 windows give the bits of one whole draw.  A level and sign takes its
-payoffs when it ends, after its states are checked for finiteness.  A
-failure names the first failed level and sign, in that order; a replay of a
-path draws its batch again whole.  Elementwise arithmetic does not depend
-on memory order, so the layout cannot change a result (the tests pin the
-same bytes for C-ordered, Fortran-ordered and strided increments).
+payoffs when it ends, and fails at its first step whose states are not all
+finite or whose solver fails.  Only the last states of a window are
+checked; a window that failed, still held, is stepped again from the states
+it began with to find that step, so nothing is drawn again.  A failure
+names the first failed level and sign, in that order, with its first path
+and its step.  Elementwise arithmetic does not depend on memory order, so
+the layout cannot change a result (the tests pin the same bytes for
+C-ordered, Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
@@ -47,8 +50,7 @@ import numpy as np
 from . import rng
 from .counts import is_count, is_uint64
 from .problems import Problem
-from .schemes import (NoConvergence, NonFiniteResidual, SchemeConfig, iter_paths, level_set,
-                      run_paths)
+from .schemes import NoConvergence, SchemeConfig, iter_paths, level_set, run_paths
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -216,24 +218,23 @@ def _pairwise_sum(cols: np.ndarray, out: np.ndarray):
         out += cols[:, k]
 
 
-def _first_non_finite_state(p: Problem, cfg: SchemeConfig, fine: np.ndarray,
-                            row: int, antithetic: bool) -> str:
-    """Where path ``row`` of a batch's level first has a state that is not finite.
+def _first_failure(p: Problem, cfg: SchemeConfig, level: _Level, start: tuple):
+    """The first failure of a window whose run failed, stepped again from ``start``.
 
-    The whole batch's level is stepped again from its fine draw ``fine``, on
-    +dW, then on -dW when ``antithetic``: the fixed-point iteration count
-    depends on the batch, so only the whole batch gives the states of the
-    run, bit for bit.  A NaN solver residual ends the replay at its step.
+    Returns (error type, step, path, text): FloatingPointError at the first
+    step whose states are not all finite, naming the first such state, or
+    the solver's own error, whichever comes first.  The fixed-point
+    iteration count depends on the batch, so the whole window is stepped
+    again.  No error object is kept: its traceback would hold the window.
     """
-    for sign in ("+", "-") if antithetic else ("+",):
-        where = f" on {sign}dW" if antithetic else ""
-        try:
-            for k, x in enumerate(iter_paths(p, cfg, _Level(fine, cfg.n_steps, sign == "-"))):
-                if not np.isfinite(x[row]):
-                    return f"its state{where} is first {float(x[row])!r} at step {k}"
-        except NonFiniteResidual as err:
-            return f"its state{where} is finite before step {err.step_index}"
-    return "its state is finite at every step" + (" of both passes" if antithetic else "")
+    try:
+        for k, x in enumerate(iter_paths(p, cfg, level, start), start[0]):
+            finite = np.isfinite(x)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                return FloatingPointError, k, row, f"step {k}: its state is {float(x[row])!r}"
+    except NoConvergence as err:
+        return type(err), err.step_index, err.path_index, str(err)
 
 
 def _n_workers() -> int:
@@ -295,60 +296,57 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
         # Each (level, sign) keeps its state from window to window and has its
         # payoff once it ends.  A failed run stops, and so does every run after
         # it in (level, sign) order: only runs[:live] step on, and the first to
-        # fail is the one named.
-        states, vals, bad_states = {}, [None] * len(configs), {}
+        # fail is the one named.  A window whose last states are finite had
+        # every state finite: each step adds its terms to the last state
+        # (x + sigma(x) dW first), so a state that is not finite stays so, or
+        # the solver raises on it.
+        states, vals = {}, [None] * len(configs)
         live, failure = len(runs), None
         for w0 in range(0, finest_n, window):
+            if not live:
+                break
             fine = rng.gaussian_increments(mc.seed, idx, window, h_fine, first_step=w0)
             for i, (j, cfg, negate) in enumerate(runs[:live]):
                 m = finest_n // cfg.n_steps
                 k0, k1 = w0 // m, (w0 + window) // m
-                x = states.pop(i) if k0 else np.full(hi - lo, p.x0)
+                start = (k0, states.pop(i) if k0 else np.full(hi - lo, p.x0))
                 try:
-                    x = run_paths(p, cfg, _Level(fine, k1 - k0, negate), start=(k0, x))
-                except NoConvergence as err:
-                    live, failure = i, err
+                    x = run_paths(p, cfg, _Level(fine, k1 - k0, negate), start=start)
+                    failed = not np.isfinite(x).all()
+                except NoConvergence:
+                    failed = True
+                if failed:
+                    failure = _first_failure(p, cfg, _Level(fine, k1 - k0, negate), start)
+                    live = i
                     break
                 if k1 < cfg.n_steps:
                     states[i] = x
                     continue
-                finite = np.isfinite(x)
-                if not finite.all():
-                    row = int(np.argmin(finite))  # this run's first non-finite state
-                    bad_states.setdefault(j, (negate, row, float(x[row])))
                 # Each payoff is halved before the sum, so a pair of finite
                 # payoffs above half the largest float keeps a finite mean.
                 v = np.asarray(p.f(x), dtype=float)
                 vals[j] = 0.5 * vals[j] + 0.5 * v if negate else v
             del fine  # the next window is drawn without this one alive
 
-        def where(cfg, row):
-            """The replay's account of path ``row``, from the batch's whole draw."""
-            fine = rng.gaussian_increments(mc.seed, idx, finest_n, h_fine)
-            return _first_non_finite_state(p, cfg, fine, row, mc.antithetic)
-
         if failure is not None:
-            cfg, row = runs[live][1], failure.path_index or 0
-            extra = "; " + where(cfg, row) if isinstance(failure, NonFiniteResidual) else ""
-            raise type(failure)(f"level {cfg.n_steps}, path {lo + row}: {failure}{extra}",
-                                step_index=failure.step_index,
-                                path_index=lo + row) from failure
+            (_, cfg, negate), (error, step, row, what) = runs[live], failure
+            sign = (" on -dW" if negate else " on +dW") if mc.antithetic else ""
+            text = f"level {cfg.n_steps}, path {lo + row}{sign}: {what}"
+            if issubclass(error, NoConvergence):
+                raise error(text, step_index=step, path_index=lo + row)
+            raise FloatingPointError(text)
         if surrogate:
             ref = 2.0 * vals[-1] - vals[-2]
         else:
             ref = np.full(hi - lo, p.exact_terminal())
+        where = "its state is finite at every step" + (" of both passes" if mc.antithetic else "")
         for j, cfg in enumerate(configs):
-            if j in bad_states:
-                negate, i, x = bad_states[j]
-                sign = (" on -dW" if negate else " on +dW") if mc.antithetic else ""
-                raise FloatingPointError(f"level {cfg.n_steps}, path {lo + i}: its terminal "
-                                         f"state{sign} is {x!r}; {where(cfg, i)}")
             finite = np.isfinite(vals[j])
             if not finite.all():
                 i = int(np.argmin(finite))  # the batch's first non-finite payoff
                 what = "the antithetic pair's mean payoff" if mc.antithetic else "the payoff"
                 raise FloatingPointError(f"level {cfg.n_steps}, path {lo + i}: {what} is "
-                                         f"{float(vals[j][i])!r}; {where(cfg, i)}")
+                                         f"{float(vals[j][i])!r}; {where}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])
         return err_rows.sum(axis=1), err_rows @ err_rows.T, float(ref.sum())
 

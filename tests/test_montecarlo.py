@@ -1,7 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -12,13 +12,47 @@ from weakerr import montecarlo, rng
 from weakerr.montecarlo import McConfig, estimate_weak_error, richardson
 from weakerr.rates import oracle_report
 from weakerr.reports import render
-from weakerr.schemes import NonFiniteResidual, SchemeConfig, iter_paths
+from weakerr.schemes import NoConvergence, NonFiniteResidual, SchemeConfig, iter_paths, run_paths
 
 
 def _reshape_sum(fine, n_steps):
     """The ``n_steps`` level of ``fine`` by numpy's reshape-sum over C-ordered rows."""
     rows, n_fine = fine.shape
     return np.ascontiguousarray(fine).reshape(rows, n_steps, n_fine // n_steps).sum(axis=2)
+
+
+def _draw(mc, n_steps):
+    """Every sampling unit's ``n_steps`` fine increments of ``mc`` on horizon 1, in one draw."""
+    n = mc.n_paths // 2 if mc.antithetic else mc.n_paths
+    return rng.gaussian_increments(mc.seed, np.arange(n, dtype=np.uint64), n_steps, 1 / n_steps)
+
+
+def _batch_failure(p, cfg, fine):
+    """The first failure of level ``cfg.n_steps`` of the whole draw ``fine`` on +dW.
+
+    The draw is summed by numpy's reshape-sum and stepped by ``iter_paths``:
+    (FloatingPointError, step, row, text) at the first step whose states are
+    not all finite, naming its first such row, or the solver's error type,
+    step, path and text.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            for k, x in enumerate(iter_paths(p, cfg, _reshape_sum(fine, cfg.n_steps))):
+                bad = np.flatnonzero(~np.isfinite(x))
+                if bad.size:
+                    row = int(bad[0])
+                    return FloatingPointError, k, row, f"step {k}: its state is {float(x[row])!r}"
+    except NoConvergence as err:
+        return type(err), err.step_index, err.path_index, str(err)
+    raise AssertionError(f"level {cfg.n_steps} does not fail")
+
+
+def _assert_named(err, n_steps, want, antithetic):
+    """``err`` is the failure ``want`` of :func:`_batch_failure`, named for its level."""
+    kind, _, row, text = want
+    sign = " on +dW" if antithetic else ""
+    assert type(err) is kind
+    assert str(err) == f"level {n_steps}, path {row}{sign}: {text}"
 
 
 class TestMcConfig:
@@ -265,58 +299,45 @@ class TestEstimateWeakError:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_non_finite_state_names_its_step(self, antithetic):
         # sigma(x) = c sqrt(1 + x^2) with c = 1e100 takes the explicit state
-        # past the floats within a few steps of the +dW pass.  An explicit
-        # step does not depend on the rest of the batch, so one row, stepped
-        # on its own, gives the step the message must name.
+        # past the floats within a few steps of the +dW pass.
         p = we.tanh_problem(c=1e100)
         mc = McConfig(levels=(8, 16), n_paths=200, seed=1, antithetic=antithetic)
         with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
             estimate_weak_error(p, mc, "explicit")
-        got = re.fullmatch(r"level 8, path (\d+): .* is nan; (.*)", str(exc.value))
-        assert got, str(exc.value)
         finest = montecarlo.SURROGATE_MARGIN * 16
-        row = rng.gaussian_increments(1, np.array([int(got[1])], dtype=np.uint64), finest,
-                                      1 / finest)
-        with np.errstate(all="ignore"):
-            states = [float(x[0]) for x in iter_paths(p, SchemeConfig(8, "explicit"),
-                                                      _reshape_sum(row, 8))]
-        k = next(k for k, x in enumerate(states) if not math.isfinite(x))
-        where = " on +dW" if antithetic else ""
-        assert got[2] == f"its state{where} is first {states[k]!r} at step {k}"
+        want = _batch_failure(p, SchemeConfig(8, "explicit"), _draw(mc, finest))
+        assert want[0] is FloatingPointError
+        _assert_named(exc.value, 8, want, antithetic)
 
     @pytest.mark.parametrize("antithetic", [False, True])
-    @pytest.mark.parametrize("solver, name, step, where", [
+    @pytest.mark.parametrize("solver, kind, text", [
         # the fixed-point test passes at +-inf, where tanh reads equal, so the
-        # state first leaves the floats a step before the residual is NaN
-        ("fixed_point", "fixed-point", 3, "is first inf at step 2"),
-        ("newton", "newton", 2, "is finite before step 2")])
+        # state leaves the floats at step 2, a step before the residual is NaN
+        ("fixed_point", FloatingPointError, "step 2: its state is inf"),
+        # Newton's residual is NaN at the step that would leave the floats
+        ("newton", NonFiniteResidual, "step 2: newton residual is nan")])
     def test_nan_residual_names_where_the_state_left_the_floats(self, antithetic, solver,
-                                                                name, step, where):
+                                                                kind, text):
         # c = 1e100 takes the implicit states past the floats within a few
         # steps of the +dW pass.  The solver raises at its first NaN residual
-        # instead of spending fp_max_iter iterations; the replay of the whole
-        # batch names where that path's state was first not finite.  An
+        # instead of spending fp_max_iter iterations, and the first step whose
+        # states are not all finite or whose solver fails is named.  An
         # implicit step depends on the rest of the batch, so the reference
-        # steps the whole batch, summed by numpy's reshape-sum.
+        # steps the whole batch.
         p = we.tanh_problem(c=1e100)
         mc = McConfig(levels=(8,), n_paths=200, seed=1, antithetic=antithetic)
         with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
             estimate_weak_error(p, mc, "implicit", solver=solver)
-        got = re.fullmatch(rf"level 8, path (\d+): step {step}: {name} residual is nan; "
-                           r"its state( on \+dW)? (.*)", str(exc.value))
-        assert got, str(exc.value)
-        assert bool(got[2]) == antithetic and got[3] == where
-        n = mc.n_paths // 2 if antithetic else mc.n_paths
-        fine = rng.gaussian_increments(1, np.arange(n, dtype=np.uint64), 64, 1 / 64)
-        row = int(got[1])
-        states = []
-        with pytest.raises(FloatingPointError) as ref, np.errstate(all="ignore"):
-            for x in iter_paths(p, SchemeConfig(8, solver=solver), _reshape_sum(fine, 8)):
-                states.append(float(x[row]))
-        assert (ref.value.step_index, ref.value.path_index) == (step, row)
-        bad = [k for k, x in enumerate(states) if not math.isfinite(x)]
-        assert where == (f"is first {states[bad[0]]!r} at step {bad[0]}" if bad
-                         else f"is finite before step {step}")
+        fine = _draw(mc, 64)
+        want = _batch_failure(p, SchemeConfig(8, solver=solver), fine)
+        assert want[0] is kind and want[3] == text
+        _assert_named(exc.value, 8, want, antithetic)
+        if kind is NonFiniteResidual:
+            assert (exc.value.step_index, exc.value.path_index) == (2, want[2])
+        else:  # stepped on past its state, the fixed-point residual is NaN at step 3
+            with pytest.raises(NonFiniteResidual) as ref, np.errstate(all="ignore"):
+                run_paths(p, SchemeConfig(8, solver=solver), _reshape_sum(fine, 8))
+            assert ref.value.step_index == 3
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("kind", ["implicit", "explicit"])
@@ -324,51 +345,38 @@ class TestEstimateWeakError:
         # c = 1e24 takes every state to +-inf by the last step.  The fixed-point
         # test passes at +-inf, where tanh reads equal, and tanh(+-inf) = +-1
         # is a finite payoff: opposite infinite states of a pair once gave the
-        # estimate 0.0 with stderr 0.0.  The named path's states come from the
-        # whole batch, stepped on its own.
+        # estimate 0.0 with stderr 0.0.
         p = dataclasses.replace(we.tanh_problem(c=1e24), f=np.tanh,
                                 exact_terminal=lambda: 0.0)
         mc = McConfig(levels=(8,), n_paths=200, seed=1, antithetic=antithetic)
         with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
             estimate_weak_error(p, mc, kind)
-        n = mc.n_paths // 2 if antithetic else mc.n_paths
-        fine = rng.gaussian_increments(1, np.arange(n, dtype=np.uint64), 8, 1 / 8)
-        with np.errstate(all="ignore"):
-            states = np.column_stack(list(iter_paths(p, SchemeConfig(8, kind), fine)))
-        row = int(np.argmin(np.isfinite(states[:, -1])))
-        k = int(np.argmin(np.isfinite(states[row])))
-        where = " on +dW" if antithetic else ""
-        assert str(exc.value) == (
-            f"level 8, path {row}: its terminal state{where} is {float(states[row, -1])!r}; "
-            f"its state{where} is first {float(states[row, k])!r} at step {k}")
+        want = _batch_failure(p, SchemeConfig(8, kind), _draw(mc, 8))
+        assert want[0] is FloatingPointError
+        _assert_named(exc.value, 8, want, antithetic)
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_the_first_failed_level_and_sign_is_named(self, antithetic):
-        # sigma(x0) = c sqrt(1 + x0^2) overflows, so every state is +-inf after
-        # step 0 and a residual is NaN at step 1, on every level.  The 512-step
-        # draw comes in two windows of 256: levels 64, 256 and 512 fail in the
-        # first, level 2 (a step a window) only in the second.  Level 2 on +dW
-        # is named, with the message one pass over the levels gives.
-        p = we.tanh_problem(c=1.7e308)
-        n = 100 if antithetic else 200
-        with pytest.raises(NonFiniteResidual) as later, np.errstate(all="ignore"):
-            estimate_weak_error(p, McConfig(levels=(64,), n_paths=200, seed=1, finest_n=512,
-                                            antithetic=antithetic), "implicit")
-        assert later.value.step_index == 1
-        mc = McConfig(levels=(2, 64), n_paths=200, seed=1, antithetic=antithetic)
-        with pytest.raises(NonFiniteResidual) as exc, np.errstate(all="ignore"):
+        # sigma(x) = s x with s = 1e40 multiplies a state by about 1e40 |dW|
+        # a step, so every level leaves the floats near its step 7.  The
+        # 512-step draw comes in eight windows of 64: level 64 (eight steps a
+        # window) fails in the first, level 8 (a step a window) only in the
+        # last.  Level 8 on +dW is named, with the message one pass over the
+        # whole draw gives.
+        p = we.gbm_family_problem("wide", mu=0.05, s=1e40, f_poly=(0, 1), x0=1.0,
+                                  horizon=1.0)
+        mc = McConfig(levels=(8, 64), n_paths=200, seed=1, finest_n=512,
+                      antithetic=antithetic)
+        fine = _draw(mc, 512)
+        want = {n: _batch_failure(p, SchemeConfig(n, solver="closed_form_affine"), fine)
+                for n in mc.levels}
+        assert [want[n][1] * (512 // n) // 64 for n in mc.levels] == [7, 0]
+        with pytest.raises(FloatingPointError) as later, np.errstate(all="ignore"):
+            estimate_weak_error(p, dataclasses.replace(mc, levels=(64,)), "implicit")
+        _assert_named(later.value, 64, want[64], antithetic)
+        with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
             estimate_weak_error(p, mc, "implicit")
-        fine = rng.gaussian_increments(1, np.arange(n, dtype=np.uint64), 512, 1 / 512)
-        states = []
-        with pytest.raises(NonFiniteResidual) as ref, np.errstate(all="ignore"):
-            for x in iter_paths(p, SchemeConfig(2), _reshape_sum(fine, 2)):
-                states.append(x)
-        row = ref.value.path_index
-        where = " on +dW" if antithetic else ""
-        assert (exc.value.step_index, exc.value.path_index) == (1, row)
-        assert str(exc.value) == (
-            f"level 2, path {row}: step 1: fixed-point residual is nan; "
-            f"its state{where} is first {float(states[0][row])!r} at step 0")
+        _assert_named(exc.value, 8, want[8], antithetic)
 
     def test_no_convergence_carries_context(self, monkeypatch):
         # The drift vanishes on [-3, 3], where one fixed-point iteration is
@@ -392,7 +400,30 @@ class TestEstimateWeakError:
             estimate_weak_error(p, mc, "implicit", fp_tol=1e-16, fp_max_iter=1)
         assert exc.value.step_index == rows.min()
         assert exc.value.path_index == 100 * batch + int(np.argmin(rows))
-        assert f"path {exc.value.path_index}: step {rows.min()}: " in str(exc.value)
+        assert f"path {exc.value.path_index} on +dW: step {rows.min()}: " in str(exc.value)
+
+    @pytest.mark.parametrize("kind, solver, c, message", [
+        ("explicit", None, 1e100, "level 8, path 0 on +dW: step 2: its state is inf"),
+        ("implicit", "fixed_point", 1e100, "level 8, path 0 on +dW: step 2: its state is inf"),
+        ("implicit", "newton", 1e100, "level 8, path 0 on +dW: step 2: newton residual is nan"),
+        ("implicit", None, 1e24, "level 8, path 0 on +dW: step 7: its state is -inf")])
+    def test_the_failure_does_not_depend_on_the_windows(self, monkeypatch, kind, solver, c,
+                                                        message):
+        # 2 to 64 fine steps a window give 8, 4, 2 or 1 windows of the 64-step
+        # draw (a window holds at least one step of level 8); c = 1e24 has a
+        # bounded payoff and an exact reference, so level 8 alone is stepped
+        p = we.tanh_problem(c=c)
+        if c == 1e24:
+            p = dataclasses.replace(p, f=np.tanh, exact_terminal=lambda: 0.0)
+        mc = McConfig(levels=(8,), n_paths=200, seed=1, finest_n=64)
+        seen = set()
+        for steps in (2, 4, 8, 16, 32, 64):
+            monkeypatch.setattr(montecarlo, "_WINDOW_STEPS", steps)
+            with pytest.raises(FloatingPointError) as exc, np.errstate(all="ignore"):
+                estimate_weak_error(p, mc, kind, **({} if solver is None else {"solver": solver}))
+            seen.add((type(exc.value), str(exc.value)))
+        assert seen == {(NonFiniteResidual if solver == "newton" else FloatingPointError,
+                         message)}
 
 
 @pytest.mark.parametrize("name", ["ou", "gbm"])
@@ -643,23 +674,39 @@ class TestBatchLayout:
         assert [c[1:] for c in stepped] == [(8, "+"), (8, "-"), (16, "+"), (16, "-")]
 
 
+def _batch_peak(p, monkeypatch, fails):
+    """Traced peak of one 4096-unit batch on 512-step rows, over its 16 MiB
+    draw; with ``fails`` the batch must raise a FloatingPointError."""
+    import scipy.special  # noqa: F401 -- the first draw imports it; keep that out of the peak
+    monkeypatch.setattr(montecarlo, "_BATCH", 4096)
+    mc = McConfig(levels=(16, 32, 64), n_paths=2 * 4096, seed=5, finest_n=512)
+    tracemalloc.start()
+    try:
+        with (pytest.raises(FloatingPointError) if fails else contextlib.nullcontext()), \
+                np.errstate(all="ignore"):
+            estimate_weak_error(p, mc, "implicit")
+        return tracemalloc.get_traced_memory()[1] / (4096 * 512 * 8)
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_peak_stays_below_0_35x_the_fine_draw(problems, monkeypatch):
     # one 4096-unit tanh batch on 512-step rows, drawn in 64-step windows:
     # one window (2 MiB, 0.125x the 16 MiB draw), the generator's chunk
     # buffer and Philox word arrays while it draws (about 2 MB), and a state
     # or payoff column per level and sign.  Measured 0.274x; the bound leaves
     # a quarter of that as margin.  The whole draw held at once read 1.13x.
-    import scipy.special  # noqa: F401 -- the first draw imports it; keep that out of the peak
-    monkeypatch.setattr(montecarlo, "_BATCH", 4096)
-    mc = McConfig(levels=(16, 32, 64), n_paths=2 * 4096, seed=5, finest_n=512)
-    fine_bytes = 4096 * 512 * 8
-    tracemalloc.start()
-    try:
-        estimate_weak_error(problems["tanh"], mc, "implicit")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.35 * fine_bytes, f"peak {peak / fine_bytes:.3f}x the fine draw"
+    peak = _batch_peak(problems["tanh"], monkeypatch, fails=False)
+    assert peak < 0.35, f"peak {peak:.3f}x the fine draw"
+
+
+def test_failing_batch_peak_stays_below_0_35x_the_fine_draw(monkeypatch):
+    # the same batch with c = 1e24, whose states leave the floats: the failed
+    # window is stepped again from the states it began with and nothing is
+    # drawn again.  Drawing the batch again whole to find the step read 1.274x.
+    p = dataclasses.replace(we.tanh_problem(c=1e24), f=np.tanh, exact_terminal=None)
+    peak = _batch_peak(p, monkeypatch, fails=True)
+    assert peak < 0.35, f"peak {peak:.3f}x the fine draw"
 
 
 class TestCrnCoupling:

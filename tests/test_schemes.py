@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakerr as we
-from weakerr.schemes import MAX_H_LIP, SchemeConfig, check_step_size, resolvent
+from weakerr.schemes import (MAX_H_LIP, NonFiniteResidual, SchemeConfig, check_step_size,
+                             resolvent)
 
 
 def _random_states(p, rng, n):
@@ -216,6 +219,41 @@ class TestImplicitStep:
         p = dataclasses.replace(problems["tanh"], lip_b=math.inf)
         with pytest.raises(we.StepSizeError, match="no grid passes$"):
             check_step_size(p, SchemeConfig(n_steps=10**6))
+
+
+_STEPPERS = [(name, kind, solver) for name in ("bm", "ou", "gbm", "tanh")
+             for kind, solver in (("explicit", None), ("implicit", "fixed_point"),
+                                  ("implicit", "newton"))]
+_STEPPERS += [("ou", "implicit", "closed_form_affine"),
+              ("gbm", "implicit", "closed_form_affine")]
+
+
+@pytest.mark.parametrize("name, kind, solver", _STEPPERS)
+@given(bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+       bad_dw=st.floats(allow_nan=False, allow_infinity=False),
+       rows=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), max_size=4),
+       at=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_a_state_off_the_floats_stays_off_them(problems, name, kind, solver, bad, bad_dw,
+                                               rows, at):
+    # Each step adds its terms to the last state (x + sigma(x) dW first), so
+    # a row whose state is +-inf or NaN is not finite after the step either,
+    # or the step raises on it.  The Monte Carlo failure check relies on
+    # this when it reads only the last states of a window.
+    p = problems[name]
+    at = min(at, len(rows))
+    x = np.array([r[0] for r in rows[:at]] + [bad] + [r[0] for r in rows[at:]])
+    dw = np.array([r[1] for r in rows[:at]] + [bad_dw] + [r[1] for r in rows[at:]])
+    h = 1.0 / 16
+    with np.errstate(all="ignore"):
+        if kind == "explicit":
+            y = we.explicit_step(p, h, x, dw)
+        else:
+            try:
+                y, _ = we.implicit_step(p, SchemeConfig(n_steps=16, solver=solver), h, x, dw)
+            except NonFiniteResidual:
+                return
+    assert not math.isfinite(y[at])
 
 
 class TestContraction:
