@@ -136,15 +136,14 @@ def _given(**flags) -> dict:
 def _mc_report(args, p: Problem, levels: tuple):
     """The Monte Carlo report behind ``mc`` and ``richardson --estimator mc``.
 
-    Only the flags given are passed on: a sampling flag left out keeps the
-    :class:`McConfig` default, a solver flag the library default.
+    A sampling flag left out keeps the :class:`McConfig` default; a solver
+    flag left out is None, which :class:`SchemeConfig` reads as not given.
     """
     mc = McConfig(levels=levels, **_given(n_paths=args.paths, seed=args.seed,
                                           finest_n=args.finest_n,
                                           antithetic=args.antithetic))
-    solver = _given(solver=_SOLVER_ALIASES.get(args.solver), fp_tol=args.fp_tol,
-                    fp_max_iter=args.fp_max_iter)
-    return estimate_weak_error(p, mc, args.scheme, **solver)
+    return estimate_weak_error(p, mc, args.scheme, solver=_SOLVER_ALIASES.get(args.solver),
+                               fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter)
 
 
 def _cmd_mc(args, p: Problem) -> None:

@@ -35,7 +35,8 @@ C-ordered, Fortran-ordered and strided increments).
 
 For problems with a closed-form E f(X_T) the reference is exact; otherwise a
 fine-grid surrogate 2 E f(X^{2M}) - E f(X^{M}) with M = finest_n / 2 is used,
-whose own bias is O(h_fine^2) after the Richardson correction.
+whose own bias is O(h_fine^2) after the Richardson correction.  Each level's
+config and step size, then an exact one, are settled before the first draw.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ import numpy as np
 from . import rng
 from .counts import is_count, is_uint64
 from .problems import Problem
-from .schemes import NoConvergence, SchemeConfig, iter_paths, level_set, run_paths
+from .schemes import (NoConvergence, SchemeConfig, check_step_size, iter_paths,
+                      level_set, run_paths)
 
 SOURCES = ("mc", "oracle")
 REFERENCE_SOURCES = ("exact", "surrogate")
@@ -253,22 +255,15 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                         solver: Optional[str] = None, **settings) -> WeakErrorReport:
     """Monte Carlo weak errors E f(X^N_T) - reference on all coupled levels.
 
-    ``kind`` selects the scheme; implicit steps use ``solver`` (closed form
-    for affine drifts unless overridden) with the :class:`SchemeConfig`
-    ``settings`` given (``fp_tol``, ``fp_max_iter``); explicit steps refuse
-    both.  With antithetic sampling the statistical unit is the (+dW, -dW)
-    pair.  A derived finest grid is the largest level, times SURROGATE_MARGIN
-    for a surrogate reference.
+    ``kind`` selects the scheme; ``solver`` and the :class:`SchemeConfig`
+    ``settings`` (``fp_tol``, ``fp_max_iter``) reach every level's config as
+    given, but without ``solver`` an implicit scheme steps an affine drift in
+    closed form.  With antithetic sampling the statistical unit is the
+    (+dW, -dW) pair.  A derived finest grid is the largest level, times
+    SURROGATE_MARGIN for a surrogate reference, at most ``rng.STEP_LIMIT``.
     """
-    given = ([] if solver is None else ["solver"]) + list(settings)
-    if kind == "explicit":
-        if given:
-            raise ValueError(
-                f"the explicit scheme solves no implicit step; got {', '.join(given)}")
-    elif solver is None:
-        settings["solver"] = "closed_form_affine" if p.affine is not None else "fixed_point"
-    else:
-        settings["solver"] = solver
+    if kind == "implicit" and solver is None and p.affine is not None:
+        solver = "closed_form_affine"
     levels = mc.levels
     surrogate = p.exact_terminal is None
     finest_n = mc.finest_n
@@ -280,7 +275,12 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             f"largest level ({SURROGATE_MARGIN * levels[-1]}), got {finest_n}")
     sim_levels = levels + ((finest_n // 2, finest_n) if surrogate else ())
 
-    configs = [SchemeConfig(n_steps=n, kind=kind, **settings) for n in sim_levels]
+    configs = [SchemeConfig(n_steps=n, kind=kind, solver=solver, **settings) for n in sim_levels]
+    if finest_n > rng.STEP_LIMIT:
+        raise ValueError(f"finest_n = {finest_n} exceeds the generator's {rng.STEP_LIMIT} steps")
+    for cfg in configs:
+        check_step_size(p, cfg)
+    exact = None if surrogate else p.exact_terminal()
     n_units = mc.n_paths // 2 if mc.antithetic else mc.n_paths
     h_fine = p.horizon / finest_n
     n_report = len(levels)
@@ -335,10 +335,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
             if issubclass(error, NoConvergence):
                 raise error(text, step_index=step, path_index=lo + row)
             raise FloatingPointError(text)
-        if surrogate:
-            ref = 2.0 * vals[-1] - vals[-2]
-        else:
-            ref = np.full(hi - lo, p.exact_terminal())
+        ref = 2.0 * vals[-1] - vals[-2] if surrogate else exact
         where = "its state is finite at every step" + (" of both passes" if mc.antithetic else "")
         for j, cfg in enumerate(configs):
             finite = np.isfinite(vals[j])
@@ -348,7 +345,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                 raise FloatingPointError(f"level {cfg.n_steps}, path {lo + i}: {what} is "
                                          f"{float(vals[j][i])!r}; {where}")
         err_rows = np.stack([v - ref for v in vals[:n_report]])
-        return err_rows.sum(axis=1), err_rows @ err_rows.T, float(ref.sum())
+        return err_rows.sum(axis=1), err_rows @ err_rows.T, float(np.sum(ref))
 
     n_batches = (n_units + _BATCH - 1) // _BATCH
     workers = min(_n_workers(), n_batches)
@@ -384,7 +381,7 @@ def estimate_weak_error(p: Problem, mc: McConfig, kind: str, *,
                 f"level {nl}: the sample variance {float(cov[j, j])!r} is not above its "
                 f"rounding bound {float(floor[j])!r} (3*k*u times the sum of squared "
                 f"errors over n - 1, n = {n}, k = {k}), so its stderr would be noise")
-    reference = p.exact_terminal() if not surrogate else ref_sum / n
+    reference = ref_sum / n if surrogate else exact
     level_estimates = tuple(
         LevelEstimate(
             n_steps=nl,

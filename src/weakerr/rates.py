@@ -60,8 +60,8 @@ def fit_rate(points) -> RateFit:
     """Ordinary least squares on log-log pairs (h, |err|).
 
     Points with |err| below :data:`NOISE_FLOOR` are excluded (and counted);
-    at least three usable points are required.  ``r_squared`` lies in
-    [0, 1]; errors that are flat to rounding give 1, as equal errors do.
+    at least three usable points at two or more step sizes are required.
+    ``r_squared`` lies in [0, 1]; errors flat to rounding give 1, as equal ones do.
     """
     usable = []
     excluded = 0
@@ -76,6 +76,8 @@ def fit_rate(points) -> RateFit:
         raise TooFewPoints(
             f"need at least 3 usable points, got {len(usable)} "
             f"({excluded} below the noise floor)")
+    if len({h for h, _ in usable}) < 2:
+        raise ValueError(f"a slope needs two distinct step sizes; every h is {usable[0][0]!r}")
     x = np.log([h for h, _ in usable])
     y = np.log([e for _, e in usable])
     slope, intercept = np.polyfit(x, y, 1)

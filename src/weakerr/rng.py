@@ -12,10 +12,12 @@ first draw rather than with this module, so that a process that never draws
 
 Layout: the 128-bit Philox counter holds (block index within the path, low
 and high words of the path index, 0); the 64-bit key is the seed.  Each
-128-bit output block yields two 64-bit words, i.e. two normal draws, so a
-window of steps that starts at an even step is drawn on its own with the
-bytes of the same columns of the whole draw: a Monte Carlo batch draws its
-fine grid that way, one window at a time, and never holds all of it.
+128-bit output block yields two 64-bit words, i.e. two normal draws, so the
+32-bit block index gives a path the steps 0 .. 2^33 - 1 (``STEP_LIMIT``),
+and a draw past them is refused.  A window of steps that starts at an even
+step is drawn on its own with the bytes of the same columns of the whole
+draw: a Monte Carlo batch draws its fine grid that way, one window at a
+time, and never holds all of it.
 Normals are generated in chunks of rows of 2^15 Philox blocks, sized to the
 L2 cache and large enough that threads drawing side by side seldom wait for
 the GIL between numpy calls; every draw depends on its own counter alone, so
@@ -58,6 +60,9 @@ _S11 = np.uint64(11)
 # vs 53.4 ms (16384 x 64) and 62.7 vs 73.2 ms (two threads, 16384 x 64 each).
 _CHUNK_BLOCKS = 2**15
 
+# A path's steps are 0 .. STEP_LIMIT - 1: the block index step // 2 fills a 32-bit word.
+STEP_LIMIT = 2**33
+
 
 def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):
     """Ten Philox4x32 rounds on uint64 arrays holding 32-bit words.
@@ -80,17 +85,6 @@ def _philox_rounds(c0, c1, c2, c3, k0: int, k1: int):
         np.bitwise_xor(c2, np.uint64((k1 + rnd * _W1) & 0xFFFFFFFF), out=c2)
         np.bitwise_and(p0, _MASK32, out=c3)
     return c0, c1, c2, c3
-
-
-def philox4x32_10(c0, c1, c2, c3, k0, k1):
-    """The Philox4x32 block function with 10 rounds; array arguments welcome.
-
-    Inputs and outputs are uint32 counter words (c0..c3) and scalar key words
-    (k0, k1).  Matches the published known-answer vectors.
-    """
-    words = [np.asarray(c, dtype=np.uint32).astype(np.uint64) for c in (c0, c1, c2, c3)]
-    out = _philox_rounds(*words, int(k0) & 0xFFFFFFFF, int(k1) & 0xFFFFFFFF)
-    return tuple(w.astype(np.uint32) for w in out)
 
 
 def _check_paths(path_indices) -> np.ndarray:
@@ -126,6 +120,9 @@ def gaussian_increments(seed: int, path_indices, n_steps: int, dt: float,
         raise ValueError("seed must be an integer that fits in 64 unsigned bits")
     if not is_count(first_step, 0) or first_step % 2:
         raise ValueError(f"first_step must be an even nonnegative integer, got {first_step!r}")
+    if first_step + n_steps > STEP_LIMIT:
+        raise ValueError(f"steps {first_step} .. {first_step + n_steps - 1} run past the "
+                         f"generator's last step {STEP_LIMIT - 1}")
     paths = _check_paths(path_indices)
     # Once per call: loading scipy.special takes about 0.25 s and 20 MB of
     # resident memory, and only a draw needs it.

@@ -16,7 +16,7 @@ path ensembles advance in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .problems import Problem
 
 KINDS = ("explicit", "implicit")
 SOLVERS = ("fixed_point", "newton", "closed_form_affine")
-_SOLVER_FIELDS = ("solver", "fp_tol", "fp_max_iter")
 
 # Reject configs outside h * sup|b'| <= MAX_H_LIP; strictly inside the
 # contraction condition h * sup|b'| < 1, it keeps the resolvent 1/(1 - h b')
@@ -73,35 +72,40 @@ def level_set(levels) -> tuple:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Grid size and scheme kind, plus implicit-solver settings.
+    """Grid size and scheme kind, plus implicit-solver settings, None when not given.
 
-    An explicit config refuses any solver setting other than the default:
-    it solves no implicit step, so it could only ignore one.
+    An implicit config fills in fixed point, fp_tol = 1e-12 and fp_max_iter =
+    100.  An explicit config solves no implicit step, so it could only ignore
+    a setting: it refuses every one given, defaults included, naming each.
     """
 
     n_steps: int
     kind: str = "implicit"
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 100
-    solver: str = "fixed_point"
+    fp_tol: float | None = None
+    fp_max_iter: int | None = None
+    solver: str | None = None
 
     def __post_init__(self):
         if not is_count(self.n_steps):
             raise ValueError("n_steps must be a positive integer")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        defaults = {"solver": "fixed_point", "fp_tol": 1e-12, "fp_max_iter": 100}
+        if self.kind == "explicit":
+            given = [name for name in defaults if getattr(self, name) is not None]
+            if given:
+                raise ValueError("the explicit scheme solves no implicit step; "
+                                 f"got {', '.join(given)}")
+            return
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if not 0 < self.fp_tol < math.inf:
             raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol!r}")
         if not is_count(self.fp_max_iter):
             raise ValueError("fp_max_iter must be a positive integer")
-        if self.kind == "explicit":
-            given = [f.name for f in fields(self)
-                     if f.name in _SOLVER_FIELDS and getattr(self, f.name) != f.default]
-            if given:
-                raise ValueError("the explicit scheme solves no implicit step; "
-                                 f"got {', '.join(given)}")
 
 
 def _worst_index(residual):

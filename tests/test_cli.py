@@ -320,6 +320,14 @@ class TestMc:
         assert err.count("\n") == 1
         assert all(name in err for name in names)
 
+    def test_a_finest_grid_past_the_generator_exits_at_once(self, capsys):
+        # 2**34 steps of bm pass every other rule; they once drew 64-step
+        # windows past a 10 s timeout
+        code, out, err = run_cli(capsys, "mc", "--problem", "bm", "--levels", "17179869184",
+                                 "--paths", "100")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and "exceeds the generator's" in err
+
     @pytest.mark.parametrize("command", MC_COMMANDS, ids=["mc", "richardson"])
     def test_explicit_scheme_runs_without_solver_flags(self, capsys, command):
         assert run_cli(capsys, *command, "--problem", "ou", "--scheme", "explicit",

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,74 @@ class TestEstimateWeakError:
         with pytest.raises(ValueError, match="explicit") as exc:
             estimate_weak_error(problems["ou"], mc, "explicit", **given)
         assert all(name in str(exc.value) for name in given)
+
+    @staticmethod
+    def _forbid_draws(monkeypatch):
+        """Make every draw fail; the list it returns counts the draws tried."""
+        drawn = []
+
+        def draw(*args, **kwargs):
+            drawn.append(args)
+            raise AssertionError("a window was drawn before the set-up was settled")
+
+        monkeypatch.setattr(rng, "gaussian_increments", draw)
+        return drawn
+
+    @staticmethod
+    def _raise_overflow():
+        raise OverflowError("E f(X_T) overflows")
+
+    # gbm with s = 12 and f = x^4: exp(r4*tau) overflows in E f(X_T), the
+    # problem of the CLI's r4 case
+    OVERFLOW = ("exp(r4*tau) overflows in the closed-form expectation at r4*tau = 864.2 "
+                "(from r4 = 4*b1 + 6*s1^2, b1 = 0.05, s1 = 12.0, tau = 1.0)")
+
+    @pytest.mark.parametrize("case", ["coarse", "coarse and overflowing", "overflowing"])
+    def test_set_up_is_settled_before_the_first_draw(self, problems, monkeypatch, case):
+        # every level's step size, then the exact reference, each refused
+        # with no window drawn; level 1 is too coarse for tanh, level 2 is not
+        tanh, coarse = problems["tanh"], (we.StepSizeError, "raise n_steps to at least 2$")
+        p, levels, (error, match) = {
+            "coarse": (tanh, (1, 2), coarse),
+            "coarse and overflowing": (
+                dataclasses.replace(tanh, exact_terminal=self._raise_overflow), (1, 2), coarse),
+            "overflowing": (
+                we.gbm_family_problem("x", mu=0.05, s=12.0, f_poly=(0, 0, 0, 0, 1), x0=1.0,
+                                      horizon=1.0),
+                (16, 32), (OverflowError, re.escape(self.OVERFLOW))),
+        }[case]
+        drawn = self._forbid_draws(monkeypatch)
+        with pytest.raises(error, match=match):
+            estimate_weak_error(p, McConfig(levels=levels, n_paths=200), "implicit")
+        assert drawn == []
+
+    @pytest.mark.parametrize("levels, finest_n", [((2**34,), None), ((8,), 2**34)])
+    def test_a_finest_grid_past_the_generator_is_refused_before_a_draw(
+            self, problems, monkeypatch, levels, finest_n):
+        # the generator draws steps 0 .. rng.STEP_LIMIT - 1 of a path
+        drawn = self._forbid_draws(monkeypatch)
+        mc = McConfig(levels=levels, n_paths=100, finest_n=finest_n)
+        with pytest.raises(ValueError, match="finest_n = 17179869184 exceeds the "
+                                             "generator's 8589934592 steps"):
+            estimate_weak_error(problems["bm"], mc, "implicit")
+        assert drawn == []
+
+    def test_the_exact_reference_is_taken_once(self, problems, monkeypatch):
+        # five batches subtract the one float E f(X_T): the bytes of a
+        # reference read in every batch
+        p = problems["ou"]
+        calls = []
+
+        def exact_terminal():
+            calls.append(None)
+            return p.exact_terminal()
+
+        monkeypatch.setattr(montecarlo, "_BATCH", 100)
+        mc = McConfig(levels=(8, 16), n_paths=1000, seed=2)
+        counted = dataclasses.replace(p, exact_terminal=exact_terminal)
+        rep = estimate_weak_error(counted, mc, "implicit")
+        assert len(calls) == 1
+        assert render(rep, "json") == render(estimate_weak_error(p, mc, "implicit"), "json")
 
     def test_antithetic_toggle(self, problems):
         base = dict(n_paths=20_000, seed=9, finest_n=16, levels=(16,))

@@ -44,6 +44,15 @@ class TestFitRate:
         noisy = [(0.1, 0.3), (0.05, 0.02), (0.025, 0.2), (0.0125, 0.01)]
         assert 0.0 <= fit_rate(noisy).r_squared <= 1.0
 
+    @pytest.mark.parametrize("points", [
+        [(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)],
+        [(0.1, 1.0), (0.05, NOISE_FLOOR / 10), (0.1, 2.0), (0.1, 3.0)],
+    ])
+    def test_one_step_size_has_no_slope(self, points):
+        # numpy's polyfit once gave slope -0.1297 and R^2 0.0 with a RankWarning
+        with pytest.raises(ValueError, match="two distinct step sizes; every h is 0.1$"):
+            fit_rate(points)
+
     def test_positive_h_required(self):
         with pytest.raises(ValueError):
             fit_rate([(0.1, 0.1), (-0.05, 0.05), (0.025, 0.025)])

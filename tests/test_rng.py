@@ -32,6 +32,13 @@ def philox4x32_10_reference(ctr, key):
     return tuple(c)
 
 
+def philox4x32_10(c0, c1, c2, c3, k0, k1):
+    """The generator's rounds on uint32 counter words (arrays welcome) and scalar key words."""
+    words = [np.asarray(c, dtype=np.uint32).astype(np.uint64) for c in (c0, c1, c2, c3)]
+    out = rng._philox_rounds(*words, int(k0) & MASK32, int(k1) & MASK32)
+    return tuple(w.astype(np.uint32) for w in out)
+
+
 class TestPhilox:
     def test_known_answer_vectors(self):
         # Random123 kat_vectors, philox4x32 with 10 rounds
@@ -45,7 +52,7 @@ class TestPhilox:
              (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
         ]
         for ctr, key, want in cases:
-            got = tuple(int(v) for v in rng.philox4x32_10(*ctr, *key))
+            got = tuple(int(v) for v in philox4x32_10(*ctr, *key))
             assert got == want
             assert philox4x32_10_reference(ctr, key) == want
 
@@ -53,7 +60,7 @@ class TestPhilox:
         gen = np.random.default_rng(99)
         ctrs = gen.integers(0, 2**32, size=(50, 4), dtype=np.uint64)
         key = tuple(int(v) for v in gen.integers(0, 2**32, size=2))
-        got = rng.philox4x32_10(ctrs[:, 0], ctrs[:, 1], ctrs[:, 2], ctrs[:, 3], *key)
+        got = philox4x32_10(ctrs[:, 0], ctrs[:, 1], ctrs[:, 2], ctrs[:, 3], *key)
         for i in range(50):
             want = philox4x32_10_reference(tuple(int(v) for v in ctrs[i]), key)
             assert tuple(int(w[i]) for w in got) == want
@@ -294,6 +301,23 @@ class TestWindows:
                                            first_step=k) for k in range(0, 513, 64)]
         digest = hashlib.sha256(np.hstack(windows).tobytes()).hexdigest()
         assert digest == STREAM_PINS[513, 62][1]
+
+    def test_the_last_steps_are_the_last_block_of_the_counter_word(self):
+        # the block index step // 2 fills one 32-bit counter word, so steps
+        # 2**33 - 2 and 2**33 - 1 are block 2**32 - 1, the stream's last
+        from scipy.special import ndtri
+        assert rng.STEP_LIMIT == 2**33
+        last = rng.gaussian_increments(0, [0, 1], 2, 1.0, first_step=rng.STEP_LIMIT - 2)
+        y = philox4x32_10_reference((MASK32, 1, 0, 0), (0, 0))  # path 1
+        words = (y[0] << 32 | y[1], y[2] << 32 | y[3])
+        want = [float(ndtri((float(w >> 11) + 0.5) * 2.0**-53)) for w in words]
+        assert last[1].tolist() == want
+
+    @pytest.mark.parametrize("first_step, n_steps", [(2**33, 2), (2**33 - 2, 3), (0, 2**33 + 1)])
+    def test_steps_past_the_counter_word_are_refused(self, first_step, n_steps):
+        # they once wrapped the block counter, off the documented stream
+        with pytest.raises(ValueError, match="past the generator's last step 8589934591"):
+            rng.gaussian_increments(0, [0, 1], n_steps, 1.0, first_step=first_step)
 
     @pytest.mark.parametrize("first_step", [1, 7, -2, 2.0, None])
     def test_first_step_must_be_even(self, first_step):

@@ -330,7 +330,7 @@ class TestRunPath:
             we.iter_paths(problems["tanh"], SchemeConfig(n_steps=1), [[0.1]])
 
     SPLIT_RUNS = [("tanh", "implicit", "fixed_point"), ("tanh", "implicit", "newton"),
-                  ("ou", "implicit", "closed_form_affine"), ("tanh", "explicit", "fixed_point")]
+                  ("ou", "implicit", "closed_form_affine"), ("tanh", "explicit", None)]
 
     @pytest.mark.parametrize("name, kind, solver", SPLIT_RUNS)
     def test_a_run_split_anywhere_keeps_the_bytes_of_the_whole(self, problems, name, kind,
@@ -388,7 +388,7 @@ class TestRunPath:
             "6bd0419d9651be777f46438302e3d725e3f47e03f034b1e361fc1617498b6940",
         ("implicit", "newton"):
             "10536e08b2fb8a40a05fb5ae1d1e110c82faad63f9cf3fe7c417d790f39a5220",
-        ("explicit", "fixed_point"):
+        ("explicit", None):
             "0e919e645bd95381deef3a9cb123fc8b427f3853ed4b41bedf705c13c10d81c6",
     }
 
@@ -407,7 +407,7 @@ class TestRunPath:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("name, kind, solver", [
         ("tanh", "implicit", "fixed_point"), ("tanh", "implicit", "newton"),
-        ("tanh", "explicit", "fixed_point"), ("ou", "implicit", "closed_form_affine")])
+        ("tanh", "explicit", None), ("ou", "implicit", "closed_form_affine")])
     def test_memory_order_cannot_change_a_bit(self, problems, full_paths, name, kind, solver,
                                               layout):
         p = problems[name]
@@ -503,10 +503,26 @@ class TestSchemeConfig:
             SchemeConfig(n_steps=8, kind="explicit", **given)
         assert all(name in str(exc.value) for name in given)
 
-    def test_explicit_kind_accepts_the_defaults(self):
-        given = SchemeConfig(n_steps=8, kind="explicit", solver="fixed_point",
-                             fp_tol=1e-12, fp_max_iter=100)
-        assert given == SchemeConfig(n_steps=8, kind="explicit")
+    @pytest.mark.parametrize("given", [
+        {"solver": "fixed_point"}, {"fp_tol": 1e-12}, {"fp_max_iter": 100},
+        {"fp_max_iter": 100, "fp_tol": 1e-12, "solver": "fixed_point"},
+    ])
+    def test_explicit_kind_refuses_the_implicit_defaults_too(self, given):
+        # a setting given is refused whatever its value, named in the order
+        # solver, fp_tol, fp_max_iter
+        with pytest.raises(ValueError) as exc:
+            SchemeConfig(n_steps=8, kind="explicit", **given)
+        names = ", ".join(n for n in ("solver", "fp_tol", "fp_max_iter") if n in given)
+        assert str(exc.value) == f"the explicit scheme solves no implicit step; got {names}"
+
+    def test_settings_left_out(self):
+        implicit = SchemeConfig(n_steps=8)
+        assert (implicit.solver, implicit.fp_tol, implicit.fp_max_iter) == \
+            ("fixed_point", 1e-12, 100)
+        assert implicit == SchemeConfig(n_steps=8, solver="fixed_point", fp_tol=1e-12,
+                                        fp_max_iter=100)
+        explicit = SchemeConfig(n_steps=8, kind="explicit")
+        assert (explicit.solver, explicit.fp_tol, explicit.fp_max_iter) == (None, None, None)
 
     def test_step_guard_constant(self, problems):
         # h * lip_b = 0.5 is allowed, anything beyond is not
